@@ -11,6 +11,7 @@ from .energy import (
     inflated_component_utilisation,
     interference_inflation,
     jetson_class_power,
+    node_watts_table,
     orange_pi_5_power,
 )
 from .latency import block_latency, layer_latency, model_latency, solo_throughput
@@ -28,6 +29,7 @@ __all__ = [
     "orange_pi_5_power",
     "jetson_class_power",
     "dvfs_ladder",
+    "node_watts_table",
     "interference_inflation",
     "inflated_component_utilisation",
     "energy_report",

@@ -20,6 +20,7 @@ comparisons need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "orange_pi_5_power",
     "jetson_class_power",
     "dvfs_ladder",
+    "node_watts_table",
     "interference_inflation",
     "inflated_component_utilisation",
     "energy_report",
@@ -52,6 +54,9 @@ class ComponentPower:
     util_exponent: float = 0.9
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in
+                   (self.idle_w, self.dynamic_w, self.util_exponent)):
+            raise ValueError(f"{self.name}: power terms must be finite")
         if self.idle_w < 0 or self.dynamic_w < 0:
             raise ValueError(f"{self.name}: power terms must be >= 0")
         if self.util_exponent <= 0:
@@ -71,8 +76,9 @@ class PlatformPower:
     board_overhead_w: float = 0.0   # SoC uncore, DRAM refresh, rails, ...
 
     def __post_init__(self):
-        if self.board_overhead_w < 0:
-            raise ValueError("board_overhead_w must be >= 0")
+        if not self.board_overhead_w >= 0 \
+                or math.isinf(self.board_overhead_w):
+            raise ValueError("board_overhead_w must be finite and >= 0")
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate component power names: {names}")
@@ -155,6 +161,25 @@ def dvfs_ladder(power: PlatformPower,
             power=PlatformPower(components=components,
                                 board_overhead_w=power.board_overhead_w)))
     return tuple(states)
+
+
+def node_watts_table(ladder: tuple[DvfsState, ...], capacity: int
+                     ) -> tuple[tuple[float, ...], ...]:
+    """Board draw of one fleet node per (DVFS level, live sessions).
+
+    ``table[level][k]`` is ``ladder[level].node_watts(min(1.0, k /
+    capacity))`` for ``k = 0..capacity`` — the dispatcher prices a node
+    from its level and occupancy estimate alone, so this is every draw
+    it can ever ask for (occupancies above ``capacity`` saturate at the
+    last column).  The fleet power governor builds it once per dispatch
+    and indexes it on every event.
+    """
+    if capacity < 1:
+        raise ValueError(f"capacity must be at least 1, got {capacity}")
+    return tuple(
+        tuple(state.node_watts(min(1.0, k / capacity))
+              for k in range(capacity + 1))
+        for state in ladder)
 
 
 def orange_pi_5_power() -> PlatformPower:

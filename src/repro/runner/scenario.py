@@ -353,7 +353,7 @@ class FleetScenario:
                 raise ValueError(
                     f"rate_shift multiplier must be positive, "
                     f"got {multiplier}")
-        if self.power_cap_w is not None and self.power_cap_w <= 0:
+        if self.power_cap_w is not None and not self.power_cap_w > 0:
             raise ValueError(
                 f"power_cap_w must be positive, got {self.power_cap_w}")
         if self.power_cap_shift is not None:
@@ -369,7 +369,7 @@ class FleetScenario:
                 raise ValueError(
                     f"power_cap_shift time {shift_at} must fall inside "
                     f"the horizon (0, {self.horizon_s})")
-            if new_cap <= 0:
+            if not new_cap > 0:
                 raise ValueError(
                     f"power_cap_shift cap must be positive, got {new_cap}")
         if not isinstance(self.power_dvfs_levels, int) \

@@ -33,6 +33,8 @@ so a re-dispatched session may appear in two node reports: truncated
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -89,7 +91,9 @@ class NodeSpec:
     ``speed`` is the node's relative steady-state throughput weight (see
     :func:`node_speed`); ``capacity`` its admission multi-tenancy level.
     ``fail_at_s`` optionally marks the instant the node dies — it serves
-    nothing beyond that point and its live sessions are re-dispatched.
+    nothing beyond that point and its live sessions are re-dispatched
+    (``inf`` never fires, like ``None``).  ``capacity`` must be a true
+    integer: it sizes the power governor's per-occupancy watts table.
     """
 
     name: str
@@ -98,12 +102,18 @@ class NodeSpec:
     fail_at_s: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.capacity, bool) \
+                or not isinstance(self.capacity, numbers.Integral):
+            raise ValueError(
+                f"capacity must be an integer, got {self.capacity!r}")
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
-        if self.fail_at_s is not None and self.fail_at_s <= 0:
-            raise ValueError("fail_at_s must be positive")
+        if not 0 < self.speed < math.inf:
+            raise ValueError(
+                f"speed must be positive and finite, got {self.speed!r}")
+        if self.fail_at_s is not None and not self.fail_at_s > 0:
+            raise ValueError(
+                f"fail_at_s must be positive, got {self.fail_at_s!r}")
 
 
 @dataclass(frozen=True)
@@ -154,17 +164,26 @@ class DispatchPlan:
 class _NodeState:
     """Mutable dispatch-time accounting of one node."""
 
-    __slots__ = ("spec", "index", "alive", "live", "assigned")
+    __slots__ = ("spec", "index", "alive", "live", "next_end", "assigned")
 
     def __init__(self, spec: NodeSpec, index: int):
         self.spec = spec
         self.index = index
         self.alive = True
         self.live: list[tuple[float, SessionRequest]] = []  # (est_depart, r)
+        self.next_end = math.inf        # earliest est_depart in ``live``
         self.assigned: list[SessionRequest] = []
 
+    def admit(self, end: float, request: SessionRequest) -> None:
+        self.live.append((end, request))
+        if end < self.next_end:
+            self.next_end = end
+
     def expire(self, t: float) -> None:
+        if self.next_end > t:
+            return                      # nothing departs by ``t``
         self.live = [(end, r) for end, r in self.live if end > t]
+        self.next_end = min((end for end, _ in self.live), default=math.inf)
 
     def view(self, speed_multiplier: float = 1.0,
              marginal_watts: float = 0.0) -> NodeView:
@@ -313,8 +332,7 @@ def plan_dispatch(requests: Iterable[SessionRequest],
         if governor is None:
             views = [s.view() for s in alive]
         else:
-            views = [s.view(governor.speed_multiplier(s.index),
-                            governor.marginal_watts(s.index, len(s.live)))
+            views = [s.view(*governor.routing_terms(s.index, len(s.live)))
                      for s in alive]
         index = policy.choose_observed(request.tier, views, recorder)
         target = states[index]
@@ -323,7 +341,7 @@ def plan_dispatch(requests: Iterable[SessionRequest],
                 f"routing policy {policy.name!r} chose dead node {index}")
         target.assigned.append(request)
         end = t + request.duration_s
-        target.live.append((end, request))
+        target.admit(end, request)
         if governor is not None and end < horizon_s:
             push(end, _RANK_DEPARTURE, None)
         if recording:
@@ -367,6 +385,7 @@ def plan_dispatch(requests: Iterable[SessionRequest],
                            key=lambda item: (item[1].arrival_s,
                                              item[1].session_id))
         state.live = []
+        state.next_end = math.inf
         for est_depart, request in survivors:
             re_dispatched += 1
             if recording:

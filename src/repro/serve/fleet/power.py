@@ -11,9 +11,13 @@ count:
   node's estimated board draw (its current DVFS state's
   :meth:`~repro.hw.energy.DvfsState.node_watts` at the dispatcher's
   occupancy estimate ``est_live / capacity``) into per-node energy and a
-  fleet-wide :class:`PowerSegment` trace.  Watt-seconds above the cap in
-  force are the *violation ledger*, attributed to nodes in proportion to
-  their share of the fleet draw.
+  fleet-wide :class:`PowerSegment` trace.  That draw depends on nothing
+  but the node, its DVFS level and ``est_live`` clipped to
+  ``0..capacity``, so the governor prices from a
+  :func:`~repro.hw.energy.node_watts_table` per node built once at
+  construction — every figure is the same float per-call pricing gives.
+  Watt-seconds above the cap in force are the *violation ledger*,
+  attributed to nodes in proportion to their share of the fleet draw.
 * **DVFS renegotiation** — when ``enforce`` is on and the fleet draw
   exceeds the cap, the governor steps nodes down their
   :func:`~repro.hw.energy.dvfs_ladder` (largest watts saving first),
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ...hw.energy import DvfsState
+from ...hw.energy import DvfsState, node_watts_table
 from ...obs import NULL_RECORDER, Recorder
 from ...obs.registry import (
     POWER_DVFS_TRANSITIONS,
@@ -90,16 +94,22 @@ class FleetPowerConfig:
                 raise ValueError(
                     f"node {i} ladder speed multipliers must strictly "
                     f"decrease, got {multipliers}")
-        if self.cap_w <= 0:
-            raise ValueError("cap_w must be positive")
+        # ``not x > 0`` also rejects NaN, which would silently disable
+        # every comparison against the cap; ``inf`` stays valid.
+        if not self.cap_w > 0:
+            raise ValueError(
+                f"cap_w must be positive (inf = account only), "
+                f"got {self.cap_w!r}")
         if self.cap_shift is not None:
             if len(self.cap_shift) != 2:
                 raise ValueError("cap_shift must be (at_s, new_cap_w)")
             at_s, new_cap = self.cap_shift
-            if at_s <= 0:
-                raise ValueError("cap_shift time must be positive")
-            if new_cap <= 0:
-                raise ValueError("cap_shift new cap must be positive")
+            if not at_s > 0:
+                raise ValueError(
+                    f"cap_shift time must be positive, got {at_s!r}")
+            if not new_cap > 0:
+                raise ValueError(
+                    f"cap_shift new cap must be positive, got {new_cap!r}")
         if not 0.0 < self.hysteresis <= 1.0:
             raise ValueError("hysteresis must be in (0, 1]")
 
@@ -235,9 +245,17 @@ class _PowerGovernor:
         n = len(self.specs)
         self.levels = [0] * n
         self.last_t = 0.0
+        # tables[i][level][k]: node i's draw at ``k`` live sessions;
+        # ``_rows`` tracks each node's row at its current level and
+        # ``_floor_rows`` its ladder-floor row (the shed check's price).
+        self._capacity = [spec.capacity for spec in self.specs]
+        self._tables = [node_watts_table(ladder, spec.capacity)
+                        for ladder, spec in zip(config.ladders, self.specs)]
+        self._rows = [table[0] for table in self._tables]
+        self._floor_rows = [table[-1] for table in self._tables]
+        self._floor_levels = [len(table) - 1 for table in self._tables]
         # Draw per node over the segment currently being integrated.
-        self._node_watts = [ladder[0].node_watts(0.0)
-                            for ladder in config.ladders]
+        self._node_watts = [row[0] for row in self._rows]
         self.node_energy = [0.0] * n
         self.node_over = [0.0] * n
         self.segments: list[PowerSegment] = []
@@ -250,28 +268,29 @@ class _PowerGovernor:
         """One node's draw at an occupancy estimate; a dead node draws 0."""
         if not alive:
             return 0.0
-        spec = self.specs[index]
-        state = self.config.ladders[index][
-            self.levels[index] if level is None else level]
-        return state.node_watts(min(1.0, est_live / spec.capacity))
+        row = (self._rows[index] if level is None
+               else self._tables[index][level])
+        return row[min(est_live, self._capacity[index])]
 
-    def _fleet_watts(self, loads, levels=None) -> float:
-        return sum(
-            self._watts(i, alive, est_live,
-                        None if levels is None else levels[i])
-            for i, (alive, est_live) in enumerate(loads))
+    @staticmethod
+    def _draw(rows, capacities, loads) -> list[float]:
+        """Per-node draw of ``loads`` priced from one row per node (the
+        hot path of every event, so :meth:`_watts` inlined)."""
+        return [(row[k] if k < cap else row[cap]) if alive else 0.0
+                for row, cap, (alive, k) in zip(rows, capacities, loads)]
 
-    def speed_multiplier(self, index: int) -> float:
-        """Current DVFS speed multiplier of one node."""
-        return self.config.ladders[index][self.levels[index]] \
+    def routing_terms(self, index: int, est_live: int
+                      ) -> tuple[float, float]:
+        """One node's routing-view pricing at its current DVFS state:
+        its speed multiplier and the extra draw of landing one more
+        session there (0 once the occupancy estimate is saturated — but
+        such nodes have no free slots to route to)."""
+        speed = self.config.ladders[index][self.levels[index]] \
             .speed_multiplier
-
-    def marginal_watts(self, index: int, est_live: int) -> float:
-        """Extra draw of landing one more session on a node, as priced
-        at its current DVFS state (0 once the occupancy estimate is
-        saturated — but such nodes have no free slots to route to)."""
-        return (self._watts(index, True, est_live + 1)
-                - self._watts(index, True, est_live))
+        if est_live >= self._capacity[index]:
+            return speed, 0.0
+        row = self._rows[index]
+        return speed, row[est_live + 1] - row[est_live]
 
     # ------------------------------------------------------- accounting
     def advance(self, t: float) -> None:
@@ -287,9 +306,10 @@ class _PowerGovernor:
         dt = end - self.last_t
         fleet = sum(self._node_watts)
         over_ws = max(0.0, fleet - self.cap_w) * dt
-        for i, watts in enumerate(self._node_watts):
-            self.node_energy[i] += watts * dt
-            if over_ws > 0.0 and fleet > 0.0:
+        self.node_energy = [energy + watts * dt for energy, watts
+                            in zip(self.node_energy, self._node_watts)]
+        if over_ws > 0.0 and fleet > 0.0:
+            for i, watts in enumerate(self._node_watts):
                 share = watts / fleet
                 self.node_over[i] += over_ws * share
                 if self.recorder.enabled:
@@ -306,6 +326,7 @@ class _PowerGovernor:
     # ------------------------------------------------------ enforcement
     def _step(self, t: float, index: int, new_level: int) -> None:
         self.levels[index] = new_level
+        self._rows[index] = self._tables[index][new_level]
         self.transitions.append((t, index, new_level))
         if self.recorder.enabled:
             self.recorder.count(
@@ -321,42 +342,47 @@ class _PowerGovernor:
         stays under ``hysteresis x cap`` (deepest-throttled node first).
         With ``enforce=False`` levels stay pinned at nominal and this
         only refreshes the stored draw.
+
+        The fleet draw is kept as a per-node vector: a trial step swaps
+        one entry and re-sums the vector in node order, so every
+        comparison sees exactly the float a full re-pricing would.
         """
+        draw = self._draw(self._rows, self._capacity, loads)
         if self.config.enforce:
-            while self._fleet_watts(loads) > self.cap_w:
-                best, saving = -1, 0.0
+            levels = self.levels
+            while sum(draw) > self.cap_w:
+                best, saving, best_watts = -1, 0.0, 0.0
                 for i, (alive, est_live) in enumerate(loads):
-                    if not alive or self.levels[i] + 1 >= \
-                            len(self.config.ladders[i]):
+                    if not alive or levels[i] >= self._floor_levels[i]:
                         continue
-                    gain = (self._watts(i, alive, est_live)
-                            - self._watts(i, alive, est_live,
-                                          self.levels[i] + 1))
+                    watts = self._watts(i, alive, est_live, levels[i] + 1)
+                    gain = draw[i] - watts
                     if gain > saving:
-                        best, saving = i, gain
+                        best, saving, best_watts = i, gain, watts
                 if best < 0:
                     break
-                self._step(t, best, self.levels[best] + 1)
-            while True:
-                candidates = [i for i, (alive, _) in enumerate(loads)
-                              if alive and self.levels[i] > 0]
-                candidates.sort(key=lambda i: (-self.levels[i], i))
-                stepped = False
-                for i in candidates:
-                    trial = list(self.levels)
-                    trial[i] -= 1
-                    if self._fleet_watts(loads, trial) \
-                            <= self.cap_w * self.config.hysteresis:
-                        self._step(t, i, self.levels[i] - 1)
-                        stepped = True
+                draw[best] = best_watts
+                self._step(t, best, levels[best] + 1)
+            budget = self.cap_w * self.config.hysteresis
+            # A throttled fleet tries every step-up on nearly every
+            # event, so the trial lookup below is :meth:`_watts` inlined.
+            tables, caps = self._tables, self._capacity
+            while any(levels):
+                for _, i in sorted((-levels[i], i)
+                                   for i, (alive, _) in enumerate(loads)
+                                   if alive and levels[i]):
+                    current = draw[i]
+                    row, k = tables[i][levels[i] - 1], loads[i][1]
+                    draw[i] = row[k] if k < caps[i] else row[caps[i]]
+                    if sum(draw) <= budget:
+                        self._step(t, i, levels[i] - 1)
                         break
-                if not stepped:
+                    draw[i] = current
+                else:
                     break
-        self._node_watts = [self._watts(i, alive, est_live)
-                            for i, (alive, est_live) in enumerate(loads)]
+        self._node_watts = draw
         if self.recorder.enabled:
-            self.recorder.gauge(POWER_FLEET_WATTS, t,
-                                sum(self._node_watts))
+            self.recorder.gauge(POWER_FLEET_WATTS, t, sum(draw))
 
     def should_shed(self, tier: str, loads) -> bool:
         """True when an arrival of ``tier`` must be dropped, not routed.
@@ -371,14 +397,16 @@ class _PowerGovernor:
             return False
         if not any(alive for alive, _ in loads):
             return False          # no node at all: that is a *lost* arrival
-        floors = [len(ladder) - 1 for ladder in self.config.ladders]
+        draw = self._draw(self._floor_rows, self._capacity, loads)
         best = math.inf
-        for j, (alive, _) in enumerate(loads):
+        for j, (alive, est_live) in enumerate(loads):
             if not alive:
                 continue
-            with_extra = [(a, e + 1 if i == j else e)
-                          for i, (a, e) in enumerate(loads)]
-            best = min(best, self._fleet_watts(with_extra, floors))
+            current = draw[j]
+            draw[j] = self._watts(j, True, est_live + 1,
+                                  self._floor_levels[j])
+            best = min(best, sum(draw))
+            draw[j] = current
         return best > self.cap_w
 
     def record_shed(self, tier: str) -> None:

@@ -1,13 +1,15 @@
 """Tests for the multi-node fleet dispatcher (routing, dispatch, report)."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import OraclePredictor, RankMap, RankMapConfig
-from repro.hw import (dvfs_ladder, jetson_class, jetson_class_power,
-                      orange_pi_5, orange_pi_5_power)
+from repro.hw import (DvfsState, dvfs_ladder, jetson_class,
+                      jetson_class_power, orange_pi_5, orange_pi_5_power)
 from repro.search import MCTSConfig
 from repro.serve import AdmissionConfig, ServeConfig, build_replan_policy
 from repro.serve.fleet import (
@@ -212,6 +214,31 @@ class TestPlanDispatch:
             plan_dispatch([], [], "round_robin", 100.0)
         with pytest.raises(ValueError):
             plan_dispatch([], self._specs(), "round_robin", 0.0)
+
+    def test_spec_rejects_fractional_capacity(self):
+        with pytest.raises(ValueError, match="capacity must be an integer"):
+            NodeSpec(name="x", capacity=2.5)
+
+    def test_spec_rejects_bool_capacity(self):
+        with pytest.raises(ValueError, match="capacity must be an integer"):
+            NodeSpec(name="x", capacity=True)
+
+    def test_spec_rejects_nan_speed(self):
+        with pytest.raises(ValueError, match="speed"):
+            NodeSpec(name="x", capacity=2, speed=math.nan)
+        with pytest.raises(ValueError, match="speed"):
+            NodeSpec(name="x", capacity=2, speed=math.inf)
+
+    def test_spec_rejects_nan_fail_time(self):
+        with pytest.raises(ValueError, match="fail_at_s"):
+            NodeSpec(name="x", capacity=2, fail_at_s=math.nan)
+
+    def test_spec_accepts_numpy_int_and_never_failing_node(self):
+        spec = NodeSpec(name="x", capacity=np.int64(3), fail_at_s=math.inf)
+        assert spec.capacity == 3
+        plan = plan_dispatch([request(0, 1.0, 5.0)], [spec], "round_robin",
+                             100.0)
+        assert plan.routed == (1,) and plan.re_dispatched == 0
 
     def test_node_speed_orders_platforms(self):
         slow = node_speed(orange_pi_5(), POOL)
@@ -659,6 +686,25 @@ class TestFleetPowerConfig:
         with pytest.raises(ValueError, match="hysteresis"):
             FleetPowerConfig(ladders=(ladder,), hysteresis=1.5)
 
+    def test_rejects_nan_cap(self):
+        ladder = dvfs_ladder(orange_pi_5_power(), (1.0,))
+        with pytest.raises(ValueError, match="cap_w"):
+            FleetPowerConfig(ladders=(ladder,), cap_w=math.nan)
+
+    def test_rejects_nan_cap_shift(self):
+        ladder = dvfs_ladder(orange_pi_5_power(), (1.0,))
+        with pytest.raises(ValueError, match="cap_shift time"):
+            FleetPowerConfig(ladders=(ladder,), cap_shift=(math.nan, 5.0))
+        with pytest.raises(ValueError, match="cap_shift new cap"):
+            FleetPowerConfig(ladders=(ladder,), cap_shift=(10.0, math.nan))
+
+    def test_infinite_cap_means_account_only(self):
+        ladder = dvfs_ladder(orange_pi_5_power(), (1.0,))
+        assert FleetPowerConfig(ladders=(ladder,)).cap_w == math.inf
+        config = FleetPowerConfig(ladders=(ladder,), cap_w=10.0,
+                                  cap_shift=(5.0, math.inf))
+        assert config.cap_shift == (5.0, math.inf)
+
     def test_ladder_count_must_match_fleet(self):
         requests = [request(0, 1.0, 5.0)]
         specs = [NodeSpec(name="a", capacity=2), NodeSpec(name="b", capacity=2)]
@@ -891,3 +937,125 @@ class TestServeFleetPower:
                         feedback_rounds=1, power=config)
         assert a == b
         assert a.power is not None
+
+
+# ------------------------------------------------------- golden ledgers
+GOLDEN_LEDGERS = Path(__file__).parent / "golden" / "fleet_power_ledgers.json"
+
+#: The pinned power-governed dispatches: a 40 W -> 18 W brownout with a
+#: node failure, the same fleet cap-blind, and a cap tight enough to shed
+#: bronze arrivals.
+GOLDEN_CONFIGS = {
+    "brownout": dict(cap_w=40.0, cap_shift=(120.0, 18.0)),
+    "brownout_cap_blind": dict(cap_w=40.0, cap_shift=(120.0, 18.0),
+                               enforce=False),
+    "bronze_shed": dict(cap_w=12.0),
+}
+
+
+def golden_plan(case):
+    specs = [NodeSpec(name=f"n{i}", capacity=3, speed=1.0 + 0.5 * i,
+                      fail_at_s=(100.0 if i == 0 else None))
+             for i in range(3)]
+    requests = sample_session_requests(
+        np.random.default_rng(7),
+        TraceConfig(horizon_s=240.0, arrival_rate_per_s=1 / 5,
+                    mean_session_s=40.0))
+    config = FleetPowerConfig(ladders=fleet_ladders(),
+                              **GOLDEN_CONFIGS[case])
+    return plan_dispatch(requests, specs, "least_joules", 240.0,
+                         power=config)
+
+
+def golden_record(plan):
+    """The pinned fields of a plan as JSON data.
+
+    JSON writes floats by ``repr``, which round-trips exactly, so
+    comparing a JSON round trip of this record against the stored one
+    with ``==`` checks every float bit for bit.  Regenerate the file by
+    dumping ``{case: golden_record(golden_plan(case))}`` — only ever
+    from a commit whose ledger is known good.
+    """
+    ledger = plan.power
+    return {
+        "node_requests": [
+            [[r.session_id, r.arrival_s, r.duration_s, r.tier, r.tier_shift]
+             for r in node] for node in plan.node_requests],
+        "node_energy_ws": list(ledger.node_energy_ws),
+        "node_over_cap_ws": list(ledger.node_over_cap_ws),
+        "node_final_levels": list(ledger.node_final_levels),
+        "dvfs_transitions": [list(t) for t in ledger.dvfs_transitions],
+        "shed_by_tier": [list(s) for s in ledger.shed_by_tier],
+        "segments": [[s.start_s, s.end_s, s.watts, s.cap_w]
+                     for s in ledger.segments],
+    }
+
+
+class TestGoldenPowerLedgers:
+    """Exact pins of governed dispatches, recorded under per-call
+    ``DvfsState.node_watts`` pricing: the governor's watts table must
+    reproduce every ledger float, DVFS step and routing decision."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_LEDGERS.read_text())
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CONFIGS))
+    def test_plan_matches_golden(self, golden, case):
+        record = json.loads(json.dumps(golden_record(golden_plan(case))))
+        for field, expected in golden[case].items():
+            assert record[field] == expected, field
+
+    def test_cases_exercise_the_governor(self, golden):
+        """The pins cover throttling, a cap-blind violation ledger and
+        bronze shedding — not three copies of an idle fleet."""
+        brownout = golden["brownout"]
+        assert brownout["dvfs_transitions"]
+        assert any(t >= 120.0 for t, _, _ in brownout["dvfs_transitions"])
+        blind = golden["brownout_cap_blind"]
+        assert blind["dvfs_transitions"] == []
+        assert sum(blind["node_over_cap_ws"]) > 0.0
+        assert dict(golden["bronze_shed"]["shed_by_tier"]).get("bronze", 0) \
+            > 0
+
+
+class TestPowerPricingIsALookup:
+    """The governor prices nodes from a table built once per dispatch:
+    ``DvfsState.node_watts`` runs only to fill it, whatever the trace
+    length."""
+
+    def _count_calls(self, monkeypatch, horizon_s):
+        calls = []
+        original = DvfsState.node_watts
+
+        def counted(state, utilisation):
+            calls.append(utilisation)
+            return original(state, utilisation)
+
+        monkeypatch.setattr(DvfsState, "node_watts", counted)
+        specs = [NodeSpec(name=f"n{i}", capacity=2 + i, speed=1.0 + 0.5 * i,
+                          fail_at_s=(0.4 * horizon_s if i == 0 else None))
+                 for i in range(3)]
+        ladders = fleet_ladders()
+        requests = sample_session_requests(
+            np.random.default_rng(3),
+            TraceConfig(horizon_s=horizon_s, arrival_rate_per_s=1 / 10,
+                        mean_session_s=60.0))
+        config = FleetPowerConfig(ladders=ladders, cap_w=30.0,
+                                  cap_shift=(0.5 * horizon_s, 14.0))
+        plan = plan_dispatch(requests, specs, "least_joules", horizon_s,
+                             power=config)
+        monkeypatch.undo()
+        assert sum(plan.routed) > 0
+        bound = sum(len(ladder) * (spec.capacity + 1)
+                    for ladder, spec in zip(ladders, specs))
+        return len(calls), bound
+
+    def test_calls_bounded_by_table_size(self, monkeypatch):
+        calls, bound = self._count_calls(monkeypatch, 3600.0)
+        assert 0 < calls <= bound
+
+    def test_calls_independent_of_trace_length(self, monkeypatch):
+        one_hour, _ = self._count_calls(monkeypatch, 3600.0)
+        three_hours, _ = self._count_calls(monkeypatch, 3 * 3600.0)
+        assert one_hour == three_hours

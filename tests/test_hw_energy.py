@@ -1,5 +1,7 @@
 """Tests for the power/energy model and the power-aware RankMap extension."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.hw import (
     energy_report,
     inflated_component_utilisation,
     interference_inflation,
+    node_watts_table,
     orange_pi_5,
     orange_pi_5_power,
 )
@@ -51,6 +54,17 @@ class TestComponentPower:
         with pytest.raises(ValueError):
             ComponentPower("x", idle_w=0.1, dynamic_w=1.0, util_exponent=0)
 
+    @pytest.mark.parametrize("bad", [
+        dict(idle_w=math.nan), dict(idle_w=math.inf),
+        dict(dynamic_w=math.nan), dict(dynamic_w=math.inf),
+        dict(util_exponent=math.nan),
+    ])
+    def test_non_finite_terms_rejected(self, bad):
+        terms = dict(idle_w=0.1, dynamic_w=1.0, util_exponent=0.9)
+        terms.update(bad)
+        with pytest.raises(ValueError, match="finite"):
+            ComponentPower("x", **terms)
+
 
 class TestPlatformPower:
     def test_preset_matches_platform(self):
@@ -85,6 +99,12 @@ class TestPlatformPower:
         with pytest.raises(ValueError):
             PlatformPower(components=(ComponentPower("gpu", 0.1, 1.0),),
                           board_overhead_w=-1.0)
+
+    @pytest.mark.parametrize("overhead", [math.nan, math.inf])
+    def test_non_finite_overhead_rejected(self, overhead):
+        with pytest.raises(ValueError, match="board_overhead_w"):
+            PlatformPower(components=(ComponentPower("gpu", 0.1, 1.0),),
+                          board_overhead_w=overhead)
 
 
 class TestJetsonPowerPreset:
@@ -371,3 +391,7 @@ class TestDvfs:
         for occupancy in (0.0, 0.5, 1.0):
             assert ladder[1].node_watts(occupancy) \
                 < full.node_watts(occupancy)
+
+    def test_watts_table_needs_a_slot(self):
+        with pytest.raises(ValueError, match="capacity"):
+            node_watts_table(dvfs_ladder(POWER), 0)

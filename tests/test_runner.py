@@ -1,5 +1,6 @@
 """Tests for the fleet-scale scenario runner (specs, pool, determinism)."""
 
+import math
 import pickle
 
 import numpy as np
@@ -435,6 +436,14 @@ class TestFleetPowerScenarios:
         with pytest.raises(ValueError, match="power_dvfs_levels"):
             _power_fleet(power_dvfs_levels=9)
 
+    def test_nan_power_spec_rejected(self):
+        with pytest.raises(ValueError, match="power_cap_w"):
+            _power_fleet(power_cap_w=math.nan)
+        with pytest.raises(ValueError, match="inside"):
+            _power_fleet(power_cap_shift=(math.nan, 10.0))
+        with pytest.raises(ValueError, match="positive"):
+            _power_fleet(power_cap_shift=(100.0, math.nan))
+
     def test_from_dict_converts_power_fields(self):
         spec = {
             "name": "p", "nodes": list(_fleet_nodes(2)),
@@ -463,8 +472,6 @@ class TestFleetPowerScenarios:
         """cap=inf + a single DVFS level must not perturb serving: the
         governor only accounts, so per-node reports match the power-off
         run bit for bit."""
-        import math
-
         powered = ScenarioRunner(max_workers=1).run_fleet(
             [_power_fleet(routing="least_loaded", power_cap_w=math.inf,
                           power_dvfs_levels=1)])[0].report
