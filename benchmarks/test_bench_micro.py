@@ -59,10 +59,10 @@ def test_bench_simulator_solve(benchmark, mappings):
 
 _NEEDS_COMPILED = pytest.mark.skipif(
     compiled_provider() is None,
-    reason="no compiled solver provider (numba or C compiler) on this host")
+    reason="no compiled solver provider (no C compiler) on this host")
 
 #: ids keep the pre-existing history row names ("1"/"4"/"16") for the
-#: numpy sweep and add side-by-side "compiled-*" rows for the jit/C path.
+#: numpy sweep and add side-by-side "compiled-*" rows for the C kernel.
 _SOLVE_BATCH_PARAMS = [
     pytest.param("numpy", 1, id="1"),
     pytest.param("numpy", 4, id="4"),
@@ -84,7 +84,7 @@ def test_bench_simulator_solve_batch(benchmark, rollout_mappings, backend,
     """
     simulate(WORKLOAD, rollout_mappings[0], PLATFORM)  # warm latency caches
     subset = rollout_mappings[:batch]
-    # Warm the backend too: first compiled call pays jit / .so build cost.
+    # Warm the backend too: the first compiled call pays the .so build.
     simulate_batch(WORKLOAD, subset, PLATFORM, backend=backend)
     result = benchmark(lambda: simulate_batch(WORKLOAD, subset, PLATFORM,
                                               backend=backend))

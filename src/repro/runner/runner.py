@@ -223,7 +223,8 @@ def _rankmap(mode: str):
         return RankMap(platform,
                        resolve_predictor(scenario, platform, cache,
                                          recorder=recorder),
-                       RankMapConfig(mode=mode, mcts=_mcts(scenario)))
+                       RankMapConfig(mode=mode, mcts=_mcts(scenario)),
+                       backend=scenario.backend)
     return build
 
 
@@ -282,7 +283,8 @@ def execute_scenario(scenario: Scenario) -> ScenarioResult:
     t0 = time.perf_counter()
     decision = manager.plan(workload, priorities)
     wall = time.perf_counter() - t0
-    result = simulate(workload, decision.mapping, platform)
+    result = simulate(workload, decision.mapping, platform,
+                      backend=scenario.backend)
     return ScenarioResult(
         name=scenario.name,
         manager=scenario.manager,

@@ -30,7 +30,7 @@ from ..obs import TelemetrySnapshot
 from ..serve.fleet.report import FleetReport
 from ..serve.preempt import PREEMPTION_POLICIES
 from ..serve.report import ServeReport
-from ..sim.backend import normalize_backend
+from ..sim.backend import DEFAULT_BACKEND, normalize_backend
 from ..workloads import sample_mix
 
 __all__ = [
@@ -90,7 +90,7 @@ class Scenario:
     seed: int = 0
     search_iterations: int = 40         # MCTS budget for search-based managers
     search_rollouts: int = 2
-    backend: str = "numpy"              # solver backend, see repro.sim.BACKENDS
+    backend: str = DEFAULT_BACKEND      # solver, see repro.sim.BACKENDS
 
     def __post_init__(self):
         if not self.workload:
@@ -179,9 +179,9 @@ class DynamicScenario:
     ``observe`` on or off.
 
     ``backend`` selects the contention-solver implementation the node's
-    evaluation cache solves misses on (``"numpy"`` or ``"compiled"``,
-    see :mod:`repro.sim.backend`).  The compiled path agrees with numpy
-    within the documented tolerance, so reports may differ across
+    evaluation cache solves misses on (``"compiled"``, the default, or
+    ``"numpy"``; see :mod:`repro.sim.backend`).  The compiled path agrees
+    with numpy within the documented tolerance, so reports may differ across
     backends at that order; each backend remains a pure function of the
     spec, bit-identical across worker counts.
     """
@@ -206,7 +206,7 @@ class DynamicScenario:
     predictor: str = "oracle"           # "oracle" | "estimator"
     estimator_path: str | None = None   # trained-estimator artifact to load
     observe: bool = False               # collect repro.obs telemetry
-    backend: str = "numpy"              # solver backend, see repro.sim.BACKENDS
+    backend: str = DEFAULT_BACKEND      # solver, see repro.sim.BACKENDS
 
     def __post_init__(self):
         normalize_backend(self.backend)
@@ -471,7 +471,7 @@ def dynamic_sweep_scenarios(policies: tuple[str, ...] = ("full", "warm",
                             cache_path: str | None = None,
                             predictor: str = "oracle",
                             estimator_path: str | None = None,
-                            backend: str = "numpy",
+                            backend: str = DEFAULT_BACKEND,
                             ) -> list[DynamicScenario]:
     """A (policy x manager x trace) grid of dynamic-traffic studies.
 
@@ -534,7 +534,7 @@ def fleet_sweep_scenarios(routings: tuple[str, ...] = ("round_robin",
                           rate_shift: tuple[float, float] | None = None,
                           power_cap_w: float | None = None,
                           power_cap_shift: tuple[float, float] | None = None,
-                          backend: str = "numpy",
+                          backend: str = DEFAULT_BACKEND,
                           ) -> list[FleetScenario]:
     """A (routing x trace) grid of fleet studies over heterogeneous nodes.
 

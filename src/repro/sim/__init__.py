@@ -2,16 +2,14 @@
 
 from .backend import (
     BACKENDS,
+    DEFAULT_BACKEND,
     compiled_provider,
     normalize_backend,
     solve_batch_compiled,
-)
-from .cache import EvaluationCache, platform_fingerprint
-from .contention import (
-    ContentionSolution,
-    solve_steady_state,
     solve_steady_state_batch,
 )
+from .cache import EvaluationCache, platform_fingerprint
+from .contention import ContentionSolution
 from .demands import StageDemand, compute_stage_demands
 from .des import DesConfig, DesResult, simulate_des
 from .dynamic import (
@@ -30,11 +28,11 @@ from .engine import SimResult, simulate, simulate_batch
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_BACKEND",
     "normalize_backend",
     "compiled_provider",
     "solve_batch_compiled",
     "ContentionSolution",
-    "solve_steady_state",
     "solve_steady_state_batch",
     "StageDemand",
     "compute_stage_demands",

@@ -1,11 +1,11 @@
 """On-demand cc-compiled provider for the contention-solver kernel.
 
-Compiles ``_csolver.c`` (the C twin of :func:`repro.sim._kernel
-.solve_packed`) with the host C compiler into a shared object cached
-next to the source, and exposes it through ctypes.  This is the
-compiled-backend provider of last resort before the numpy fallback: on
-hosts without numba but with a working ``cc``, the compiled backend is
-still a real native kernel rather than a silent alias of numpy.
+Compiles ``_csolver.c`` (the packed fixed-point kernel whose line-for-line
+pure-python twin, ``tests/property/packed_kernel_oracle.py``, anchors the
+differential suite) with the host C compiler into a shared object cached
+next to the source, and exposes it through ctypes.  It is the provider
+behind the default ``compiled`` backend; without a working ``cc`` the
+backend falls back, with a warning, to the numpy batch solver.
 
 The build is hermetic and failure-tolerant:
 
@@ -17,7 +17,7 @@ The build is hermetic and failure-tolerant:
 * compilation happens at most once per process and never raises out of
   :func:`load_solver` — any failure (no compiler, sandboxed exec,
   unwritable disk) returns ``None`` and the backend layer falls through
-  to the next provider.
+  to the numpy fallback.
 
 Optimisation flags deliberately exclude ``-ffast-math``: the kernel's
 contract is bit-compatibility with the scalar solver, which fast-math's
@@ -48,9 +48,10 @@ _CFLAGS = ["-O2", "-shared", "-fPIC", "-fno-fast-math",
 _lib: ctypes.CDLL | None = None
 _probed = False
 
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_U8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_U8 = np.dtype(np.uint8)
+_PTR = ctypes.c_void_p
 
 
 def _build_dir() -> Path:
@@ -125,19 +126,32 @@ def load_solver() -> ctypes.CDLL | None:
             continue
         lib.solve_packed.restype = ctypes.c_int
         lib.solve_packed.argtypes = [
-            _I64, ctypes.c_int64,                 # offsets, n_batch
-            _I64, _I64,                           # comp_of, dnn_of
-            _F64, _F64, _F64, _F64,               # inflated..weights
+            _PTR, ctypes.c_int64,                 # offsets, n_batch
+            _PTR, _PTR,                           # comp_of, dnn_of
+            _PTR, _PTR, _PTR, _PTR,               # inflated..weights
             ctypes.c_int64, ctypes.c_int64,       # num_dnns, num_comp
             ctypes.c_int64, ctypes.c_double,      # max_iter, damping
             ctypes.c_double, ctypes.c_int64,      # tol, cycle_window
             ctypes.c_double, ctypes.c_int64,      # cycle_tol, cycle_burn_in
-            _F64, _F64, _F64, _F64,               # out_rates..out_util
-            _I64, _U8,                            # out_iters, out_conv
+            _PTR, _PTR, _PTR, _PTR,               # out_rates..out_util
+            _PTR, _PTR,                           # out_iters, out_conv
         ]
         _lib = lib
         return _lib
     return None
+
+
+def _address(array: np.ndarray, dtype: np.dtype) -> int:
+    """Data address of ``array``, checked to be C-contiguous ``dtype``.
+
+    ``c_char.from_buffer`` refuses non-contiguous and read-only buffers,
+    so one call both validates the layout and yields the pointer, at a
+    fraction of ``ndpointer.from_param``'s per-argument cost.
+    """
+    if array.dtype != dtype or array.size == 0:
+        raise TypeError(f"C solver expects a non-empty {dtype} array, got "
+                        f"{array.dtype} of shape {array.shape}")
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 def solve_packed_c(offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
@@ -147,17 +161,23 @@ def solve_packed_c(offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
                    out_conv) -> None:
     """Call the C kernel with the same signature as the python kernel.
 
-    ``out_conv`` must be ``uint8`` (ctypes has no bool pointer); the
-    backend layer converts.  Raises ``RuntimeError`` if the library is
-    unavailable or the kernel reports an allocation failure.
+    Every array must be non-empty, C-contiguous and writable; ``out_conv``
+    must be ``uint8`` (ctypes has no bool pointer).  Raises
+    ``RuntimeError`` if the library is unavailable or the kernel reports
+    an allocation failure.
     """
     lib = load_solver()
     if lib is None:
         raise RuntimeError("C solver library unavailable")
     status = lib.solve_packed(
-        offsets, offsets.shape[0] - 1, comp_of, dnn_of, inflated,
-        kernel_time, hol_k, weights, num_dnns, num_comp, max_iter,
-        damping, tol, cycle_window, cycle_tol, cycle_burn_in,
-        out_rates, out_alloc, out_eff, out_util, out_iters, out_conv)
+        _address(offsets, _I64), offsets.shape[0] - 1,
+        _address(comp_of, _I64), _address(dnn_of, _I64),
+        _address(inflated, _F64), _address(kernel_time, _F64),
+        _address(hol_k, _F64), _address(weights, _F64),
+        num_dnns, num_comp, max_iter, damping, tol, cycle_window,
+        cycle_tol, cycle_burn_in,
+        _address(out_rates, _F64), _address(out_alloc, _F64),
+        _address(out_eff, _F64), _address(out_util, _F64),
+        _address(out_iters, _I64), _address(out_conv, _U8))
     if status != 0:
         raise RuntimeError("C solver scratch allocation failed")

@@ -1,12 +1,13 @@
-/* Scalar-trajectory contention solver, C twin of repro/sim/_kernel.py.
+/* Scalar-trajectory contention solver, C twin of the pure-python
+ * reference kernel tests/property/packed_kernel_oracle.py.
  *
  * Compiled on demand by repro.sim._cext (cc -O2 -shared -fPIC, never
  * -ffast-math: the kernel must stay IEEE-exact) and loaded via ctypes.
  * One call solves a packed batch: element b's stages live in
  * offsets[b]..offsets[b+1] of the flat per-stage arrays.  Every loop
- * accumulates in the same order as the scalar python solver
- * (solve_steady_state) — segment sums walk stages in index order, the
- * limit-cycle window averages chronologically, damping groups as
+ * accumulates in the same order as the scalar python oracle
+ * (tests/property/scalar_oracle.py) — segment sums walk stages in index
+ * order, the limit-cycle window averages chronologically, damping groups as
  * d*x + (1-d)*y — so the float trajectory is bit-compatible with the
  * scalar oracle, which tests/property/test_backend_equivalence.py locks.
  *

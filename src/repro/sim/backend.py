@@ -1,37 +1,33 @@
-"""Contention-solver backend switch: ``numpy`` or ``compiled``.
+"""Contention-solver backend switch: ``compiled`` (default) or ``numpy``.
 
 The damped fixed point in :mod:`repro.sim.contention` is the innermost
-hot loop of every plan/serve/fleet decision.  This module adds a second
-implementation of the batch entry point — a native kernel over
-CSR-packed flat arrays — behind an explicit backend name that threads
-from :func:`repro.sim.contention.solve_steady_state_batch` through
-:func:`repro.sim.engine.simulate_batch`, the
-:class:`repro.sim.cache.EvaluationCache` key, and the scenario runner.
+hot loop of every plan/serve/fleet decision.  This module owns the
+production entry point, :func:`solve_steady_state_batch`, which
+dispatches on an explicit backend name that threads from
+:func:`repro.sim.engine.simulate_batch` through the
+:class:`repro.sim.cache.EvaluationCache` key and the scenario runner.
 
 Backend names and contracts:
 
-* ``"numpy"`` — the vectorized batch solver, bit-identical to the
-  scalar oracle :func:`repro.sim.contention.solve_steady_state` (the
-  seed contract, locked by ``tests/property/test_batch_equivalence.py``).
-* ``"compiled"`` — a native kernel that follows the scalar solver's
-  exact operation order, so its trajectory is bit-compatible too; the
+* ``"compiled"`` (:data:`DEFAULT_BACKEND`) — a native C kernel over
+  CSR-packed flat arrays (``_csolver.c``, built on demand by
+  :mod:`repro.sim._cext`) that follows the scalar oracle's exact
+  operation order, so its float trajectory is bit-compatible; the
   differential suite (``tests/property/test_backend_equivalence.py``)
   additionally tolerates ``rel ≤ 1e-12`` on rates/utilisation to stay
   robust to compiler-scheduling differences across hosts, and requires
   identical convergence flags plus identical iteration counts on
   non-limit-cycle instances.
+* ``"numpy"`` — the vectorized batch solver
+  :func:`repro.sim.contention.solve_batch_numpy`, bit-identical to the
+  scalar oracle kept under ``tests/`` (locked by
+  ``tests/property/test_batch_equivalence.py``).
 
-The compiled backend is optional-dependency-gated.  Providers are
-probed once per process, in order:
-
-1. **numba** — :func:`repro.sim._kernel.solve_packed` JIT-compiled
-   (``cache=True``, never ``fastmath``);
-2. **cext** — the same kernel's C twin (``_csolver.c``) built on demand
-   with the host C compiler via :mod:`repro.sim._cext`;
-3. **numpy fallback** — when neither native provider is available the
-   call is answered by the numpy batch path after a one-time
-   :class:`RuntimeWarning`, so results stay correct (and identical)
-   while the degradation is visible.
+The compiled provider is probed lazily, once per process, on the first
+compiled solve: ``"cext"`` when the host C compiler builds a loadable
+library, else none — the call is then answered by the numpy batch path
+after a one-time :class:`RuntimeWarning`, so results stay correct (and
+identical) while the degradation is visible.
 """
 
 from __future__ import annotations
@@ -49,26 +45,30 @@ from .contention import (
     _MAX_ITER,
     _TOL,
     ContentionSolution,
-    _context_counts,
     _empty_solution,
     _interference_table,
+    solve_batch_numpy,
 )
 from .demands import StageDemand
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_BACKEND",
     "normalize_backend",
     "compiled_provider",
     "solve_batch_compiled",
+    "solve_steady_state_batch",
 ]
 
 BACKENDS = ("numpy", "compiled")
 """Recognised backend names, in documentation order."""
 
+DEFAULT_BACKEND = "compiled"
+"""Backend every solve uses unless a scenario or caller names another."""
+
 _provider: str | None = None
 _provider_probed = False
 _fallback_warned = False
-_numba_kernel = None
 
 
 def normalize_backend(backend: str) -> str:
@@ -77,7 +77,7 @@ def normalize_backend(backend: str) -> str:
     Raises :class:`ValueError` naming the accepted choices for anything
     outside :data:`BACKENDS` (including non-strings), so scenario
     loading and solver entry points reject typos loudly instead of
-    silently running numpy.
+    silently running another backend.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -89,37 +89,18 @@ def normalize_backend(backend: str) -> str:
 def compiled_provider() -> str | None:
     """Name of the native provider backing ``compiled``, or ``None``.
 
-    Probes at most once per process: ``"numba"`` if numba imports,
-    else ``"cext"`` if the on-demand C build produces a loadable
-    library, else ``None`` (the compiled backend then falls back to
-    numpy with a one-time warning).
+    Probes at most once per process: ``"cext"`` if the on-demand C build
+    produces a loadable library, else ``None`` (the compiled backend then
+    falls back to numpy with a one-time warning).
     """
     global _provider, _provider_probed
     if _provider_probed:
         return _provider
     _provider_probed = True
-    try:
-        import numba  # noqa: F401
-        _provider = "numba"
-        return _provider
-    except ImportError:
-        pass
     from . import _cext
     if _cext.load_solver() is not None:
         _provider = "cext"
     return _provider
-
-
-def _get_numba_kernel():
-    """JIT-compile the python kernel with numba, memoized per process."""
-    global _numba_kernel
-    if _numba_kernel is None:
-        import numba
-
-        from . import _kernel
-        _numba_kernel = numba.njit(cache=True, fastmath=False)(
-            _kernel.solve_packed)
-    return _numba_kernel
 
 
 def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
@@ -128,12 +109,13 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
 
     Performs the scalar solver's iteration-independent precomputation
     (interference inflation, kernel times, head-of-line coefficients
-    times launch counts, entitlement weights) per element with the same
-    numpy expressions, so the packed quantities are bitwise identical
-    to what the scalar path derives.  Returns ``(packed_rows, offsets,
-    comp_of, dnn_of, inflated, kernel_time, hol_k, weights)`` where
-    ``packed_rows[i]`` is the original batch index of packed element
-    ``i``; empty demand sets are excluded (callers answer them with
+    times launch counts, entitlement weights) with the same elementwise
+    numpy expressions, in one pass over the whole batch, so the packed
+    quantities are bitwise identical to what the scalar path derives.
+    Returns ``(packed_rows, offsets, comp_of, dnn_of, inflated,
+    kernel_time, hol_k, weights)`` where ``packed_rows[i]`` is the
+    original batch index of packed element ``i``; empty demand sets are
+    excluded (callers answer them with
     :func:`repro.sim.contention._empty_solution`).
     """
     num_comp = platform.num_components
@@ -142,61 +124,49 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
                       for c in range(num_comp)])
     hol_by_comp = np.array([platform.component(c).hol_blocking
                             for c in range(num_comp)])
-
     packed_rows: list[int] = []
-    offsets = [0]
-    comp_parts, dnn_parts = [], []
-    infl_parts, ktime_parts, holk_parts, weight_parts = [], [], [], []
+    counts: list[int] = []
+    flat: list[StageDemand] = []
     for b, demands in enumerate(demand_sets):
-        if not demands:
-            continue
-        comp = np.array([d.component for d in demands], dtype=np.int64)
-        dnn = np.array([d.dnn_index for d in demands], dtype=np.int64)
-        base = np.array([d.seconds_per_inference for d in demands])
-        if np.any(base <= 0):
-            raise ValueError("stage demands must be positive")
-        contexts = _context_counts(comp, dnn, num_comp, num_dnns)
-        inflated = base * gamma_table[comp, contexts[comp]]
-        kernels = np.array([max(1, d.num_kernels) for d in demands],
-                           dtype=np.float64)
-        packed_rows.append(b)
-        offsets.append(offsets[-1] + len(demands))
-        comp_parts.append(comp)
-        dnn_parts.append(dnn)
-        infl_parts.append(inflated)
-        ktime_parts.append(base / kernels)
-        holk_parts.append(hol_by_comp[comp] * kernels)
-        weight_parts.append(inflated ** kappa[comp])
-
-    if not packed_rows:
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_f = np.zeros(0)
-        return (packed_rows, np.zeros(1, dtype=np.int64), empty_i, empty_i,
-                empty_f, empty_f, empty_f, empty_f)
-    return (packed_rows,
-            np.array(offsets, dtype=np.int64),
-            np.ascontiguousarray(np.concatenate(comp_parts)),
-            np.ascontiguousarray(np.concatenate(dnn_parts)),
-            np.ascontiguousarray(np.concatenate(infl_parts)),
-            np.ascontiguousarray(np.concatenate(ktime_parts)),
-            np.ascontiguousarray(np.concatenate(holk_parts)),
-            np.ascontiguousarray(np.concatenate(weight_parts)))
+        if demands:
+            packed_rows.append(b)
+            counts.append(len(demands))
+            flat.extend(demands)
+    n_stages = len(flat)
+    comp = np.fromiter([d.stage.component for d in flat], np.int64, n_stages)
+    dnn = np.fromiter([d.stage.dnn_index for d in flat], np.int64, n_stages)
+    base = np.fromiter([d.seconds_per_inference for d in flat], np.float64,
+                       n_stages)
+    kernels = np.fromiter([d.num_kernels for d in flat], np.float64,
+                          n_stages)
+    if (base <= 0).any():
+        raise ValueError("stage demands must be positive")
+    np.maximum(kernels, 1.0, out=kernels)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    # Distinct resident DNN contexts per (element, component), looked up
+    # per stage: element-local, exactly as each scalar solve counts them.
+    elem = np.repeat(np.arange(len(counts)), counts)
+    present = np.zeros((len(counts), num_comp, num_dnns), dtype=bool)
+    present[elem, comp, dnn] = True
+    contexts = present.sum(axis=2)
+    inflated = base * gamma_table[comp, contexts[elem, comp]]
+    return (packed_rows, offsets, comp, dnn, inflated, base / kernels,
+            hol_by_comp[comp] * kernels, inflated ** kappa[comp])
 
 
 def solve_batch_compiled(demand_sets: list[list[StageDemand]],
                          num_dnns: int, platform: Platform,
                          max_iter: int = _MAX_ITER,
-                         impl: str | None = None,
-                         ) -> list[ContentionSolution]:
+                         impl=None) -> list[ContentionSolution]:
     """Solve a batch of mappings on the compiled backend.
 
-    Same contract as
-    :func:`repro.sim.contention.solve_steady_state_batch`.  ``impl``
-    forces a specific kernel implementation — ``"numba"``, ``"cext"``,
-    or ``"python"`` (the un-JITted reference kernel, used by the
-    differential suite on hosts without a native provider) — instead of
-    the probed default.  With no implementation available the call
-    falls back to the numpy batch solver, warning once per process.
+    Same contract as :func:`solve_steady_state_batch`.  ``impl`` forces a
+    kernel instead of the probed provider: ``"cext"``, or any callable
+    with the packed kernel's signature (the differential suite passes
+    its pure-python reference kernel this way).  With no provider
+    available the call falls back to the numpy batch solver, warning
+    once per process.
     """
     if impl is None:
         impl = compiled_provider()
@@ -205,14 +175,12 @@ def solve_batch_compiled(demand_sets: list[list[StageDemand]],
             if not _fallback_warned:
                 _fallback_warned = True
                 warnings.warn(
-                    "compiled solver backend unavailable (numba not "
-                    "installed and the C kernel failed to build); "
-                    "falling back to the numpy backend",
+                    "compiled solver backend unavailable (the C kernel "
+                    "failed to build); falling back to the numpy backend",
                     RuntimeWarning, stacklevel=2)
-            from .contention import solve_steady_state_batch
-            return solve_steady_state_batch(demand_sets, num_dnns,
-                                            platform, max_iter)
-    if impl not in ("numba", "cext", "python"):
+            return solve_batch_numpy(demand_sets, num_dnns, platform,
+                                     max_iter)
+    if impl != "cext" and not callable(impl):
         raise ValueError(f"unknown compiled-kernel implementation {impl!r}")
 
     n_total = len(demand_sets)
@@ -224,49 +192,60 @@ def solve_batch_compiled(demand_sets: list[list[StageDemand]],
     n_packed = len(packed_rows)
     num_comp = platform.num_components
     out_rates = np.zeros((n_packed, num_dnns))
-    out_alloc = np.zeros(offsets[-1] if n_packed else 0)
+    out_alloc = np.zeros(offsets[-1])
     out_eff = np.zeros_like(out_alloc)
     out_util = np.zeros((n_packed, num_comp))
     out_iters = np.zeros(n_packed, dtype=np.int64)
-
+    out_conv = np.zeros(n_packed, dtype=np.uint8)
     if n_packed:
         if impl == "cext":
-            from . import _cext
-            out_conv8 = np.zeros(n_packed, dtype=np.uint8)
-            _cext.solve_packed_c(
-                offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
-                weights, num_dnns, num_comp, max_iter, _DAMPING, _TOL,
-                _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN,
-                out_rates, out_alloc, out_eff, out_util, out_iters,
-                out_conv8)
-            out_conv = out_conv8.astype(bool)
+            from ._cext import solve_packed_c as kernel
         else:
-            if impl == "numba":
-                kernel = _get_numba_kernel()
-            else:
-                from ._kernel import solve_packed as kernel
-            out_conv = np.zeros(n_packed, dtype=np.bool_)
-            kernel(offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
-                   weights, num_dnns, num_comp, max_iter, _DAMPING, _TOL,
-                   _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN,
-                   out_rates, out_alloc, out_eff, out_util, out_iters,
-                   out_conv)
-    else:
-        out_conv = np.zeros(0, dtype=np.bool_)
+            kernel = impl
+        kernel(offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
+               weights, num_dnns, num_comp, max_iter, _DAMPING, _TOL,
+               _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN,
+               out_rates, out_alloc, out_eff, out_util, out_iters, out_conv)
 
     solutions: list[ContentionSolution] = \
         [None] * n_total  # type: ignore[list-item]
+    bounds = offsets.tolist()
+    iters = out_iters.tolist()
+    conv = out_conv.tolist()
     for i, b in enumerate(packed_rows):
-        s0, s1 = int(offsets[i]), int(offsets[i + 1])
+        s0, s1 = bounds[i], bounds[i + 1]
         solutions[b] = ContentionSolution(
             rates=out_rates[i].copy(),
             stage_allocations=out_alloc[s0:s1].copy(),
             stage_demands=out_eff[s0:s1].copy(),
             component_utilisation=out_util[i].copy(),
-            iterations=int(out_iters[i]),
-            converged=bool(out_conv[i]),
+            iterations=iters[i],
+            converged=bool(conv[i]),
         )
-    for b in range(n_total):
-        if solutions[b] is None:
-            solutions[b] = _empty_solution(num_dnns, platform)
+    if n_packed < n_total:
+        for b in range(n_total):
+            if solutions[b] is None:
+                solutions[b] = _empty_solution(num_dnns, platform)
     return solutions
+
+
+def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
+                             num_dnns: int, platform: Platform,
+                             max_iter: int = _MAX_ITER,
+                             backend: str = DEFAULT_BACKEND,
+                             ) -> list[ContentionSolution]:
+    """Solve B mappings' fixed points on the named backend.
+
+    All mappings must cover the same workload (``num_dnns`` DNNs on
+    ``platform``); they may have different stage counts, and empty
+    demand sets answer with a zero-rate converged solution.
+    ``backend`` selects the implementation: ``"compiled"`` runs the
+    native kernel (numpy fallback with a one-time warning when it is
+    unavailable), ``"numpy"`` the vectorized
+    :func:`repro.sim.contention.solve_batch_numpy`.  Unknown names raise
+    :class:`ValueError`.
+    """
+    if normalize_backend(backend) == "compiled":
+        return solve_batch_compiled(demand_sets, num_dnns, platform,
+                                    max_iter)
+    return solve_batch_numpy(demand_sets, num_dnns, platform, max_iter)

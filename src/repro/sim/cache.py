@@ -15,11 +15,11 @@ backend, and a cached entry is keyed by::
 
     key = (backend, tuple of model names, mapping.assignments)
 
-* **Backend** is the solver implementation name (``"numpy"`` or
-  ``"compiled"``, see :mod:`repro.sim.backend`).  The two backends agree
-  only within a documented tolerance, so an entry solved on one must
-  never answer a request made on the other — the backend is part of the
-  key, not just an instance attribute, so the isolation survives
+* **Backend** is the solver implementation name (``"compiled"``, the
+  default, or ``"numpy"``; see :mod:`repro.sim.backend`).  The two
+  backends agree only within a documented tolerance, so an entry solved
+  on one must never answer a request made on the other — the backend is
+  part of the key, not just an instance attribute, so the isolation survives
   :meth:`~EvaluationCache.save`/:meth:`~EvaluationCache.load` too.
 * **Model names** stand in for the full :class:`ModelSpec`: the zoo
   registry guarantees one spec per name, and stage demands depend only on
@@ -58,7 +58,7 @@ from pathlib import Path
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
-from .backend import normalize_backend
+from .backend import DEFAULT_BACKEND, normalize_backend
 from .engine import SimResult, simulate_batch
 
 __all__ = ["EvaluationCache", "platform_fingerprint"]
@@ -96,7 +96,7 @@ class EvaluationCache:
 
     def __init__(self, platform: Platform,
                  maxsize: int = _DEFAULT_MAXSIZE,
-                 backend: str = "numpy"):
+                 backend: str = DEFAULT_BACKEND):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.platform = platform
@@ -109,7 +109,7 @@ class EvaluationCache:
     # ------------------------------------------------------------------
     @staticmethod
     def key(workload: list[ModelSpec], mapping: Mapping,
-            backend: str = "numpy") -> tuple:
+            backend: str = DEFAULT_BACKEND) -> tuple:
         """Canonical cache key (see module docstring)."""
         return (backend, tuple(m.name for m in workload),
                 mapping.assignments)
@@ -200,7 +200,7 @@ class EvaluationCache:
     @classmethod
     def load(cls, path: str | Path, platform: Platform,
              maxsize: int = _DEFAULT_MAXSIZE,
-             backend: str = "numpy") -> "EvaluationCache":
+             backend: str = DEFAULT_BACKEND) -> "EvaluationCache":
         """Rebuild a cache from :meth:`save` output, bound to ``platform``.
 
         Refuses (``ValueError``) a file whose format version is unknown or

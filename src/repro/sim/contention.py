@@ -26,16 +26,17 @@ The resulting allocation is the fixed point of a damped iteration:
 water-filling of allocations.  Every DNN's steady-state throughput is its
 bottleneck stage's rate, the classic pipeline result.
 
-Two entry points share the same arithmetic:
-
-* :func:`solve_steady_state` — one mapping, the paper-faithful reference.
-* :func:`solve_steady_state_batch` — B mappings solved simultaneously on
-  stacked arrays with per-mapping convergence masking.  Every per-element
-  operation (segment sums, water-filling, damping, cycle averaging) is
-  performed in the same order as the scalar path, so for each element the
-  batch solver follows the *identical* float trajectory and the two paths
-  agree to machine precision (the regression harness in
-  ``tests/property/test_batch_equivalence.py`` locks this in at 1e-9).
+This module holds the numpy implementation, :func:`solve_batch_numpy`:
+B mappings solved simultaneously on stacked arrays with per-mapping
+convergence masking.  Every per-element operation (segment sums,
+water-filling, damping, cycle averaging) is performed in the same order as
+the paper-faithful scalar fixed point, so for each element the batch
+solver follows the *identical* float trajectory.  The scalar solver lives
+on as the test oracle (``tests/property/scalar_oracle.py``) and the
+regression harness in ``tests/property/test_batch_equivalence.py`` locks
+the agreement in.  Production code solves through
+:func:`repro.sim.backend.solve_steady_state_batch`, which dispatches to
+this path or to the compiled kernel.
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ import numpy as np
 from ..hw.platform import Platform
 from .demands import StageDemand
 
-__all__ = [
-    "ContentionSolution",
-    "solve_steady_state",
-    "solve_steady_state_batch",
-]
+__all__ = ["ContentionSolution", "solve_batch_numpy"]
 
 _MAX_ITER = 800
 _DAMPING = 0.85
@@ -85,14 +82,6 @@ def _segment_sum(values: np.ndarray, segments: np.ndarray,
     return np.bincount(segments, weights=values, minlength=num_segments)
 
 
-def _context_counts(comp_of: np.ndarray, dnn_of: np.ndarray,
-                    num_components: int, num_dnns: int) -> np.ndarray:
-    """Distinct resident DNN contexts per component."""
-    present = np.zeros((num_components, num_dnns), dtype=bool)
-    present[comp_of, dnn_of] = True
-    return present.sum(axis=1)
-
-
 def _interference_table(platform: Platform, num_dnns: int) -> np.ndarray:
     """``gamma[c, n]`` = demand inflation of component ``c`` with ``n``
     resident DNN contexts; indexing the table reproduces the scalar calls
@@ -114,153 +103,22 @@ def _empty_solution(num_dnns: int, platform: Platform) -> ContentionSolution:
     )
 
 
-def solve_steady_state(demands: list[StageDemand], num_dnns: int,
-                       platform: Platform,
-                       max_iter: int = _MAX_ITER) -> ContentionSolution:
-    """Solve steady-state per-DNN inference rates for one mapping.
-
-    ``max_iter`` caps the fixed-point iteration (the default is the
-    production budget; tests lower it to exercise the non-converged path).
-    """
-    if not demands:
-        return _empty_solution(num_dnns, platform)
-
-    n_stages = len(demands)
-    num_comp = platform.num_components
-    comp_of = np.array([d.component for d in demands])
-    dnn_of = np.array([d.dnn_index for d in demands])
-    base_demand = np.array([d.seconds_per_inference for d in demands])
-    if np.any(base_demand <= 0):
-        raise ValueError("stage demands must be positive")
-
-    # Interference-inflated demands: thrashing grows with the number of
-    # distinct DNN contexts resident on the component.
-    gamma_table = _interference_table(platform, num_dnns)
-    contexts = _context_counts(comp_of, dnn_of, num_comp, num_dnns)
-    inflated = base_demand * gamma_table[comp_of, contexts[comp_of]]
-
-    kernels = np.array([max(1, d.num_kernels) for d in demands], dtype=np.float64)
-    kernel_time = base_demand / kernels
-    hol_coeff = np.array([
-        platform.component(int(c)).hol_blocking for c in comp_of
-    ])
-
-    # Scheduling entitlements: weight ∝ demand^κ per component.
-    kappa = np.array([platform.component(c).sharing_bias
-                      for c in range(num_comp)])
-    weights = inflated ** kappa[comp_of]
-    alloc = weights / _segment_sum(weights, comp_of, num_comp)[comp_of]
-
-    rates = np.zeros(num_dnns)
-    hol_wait = np.zeros(n_stages)
-    history: list[np.ndarray] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        # Head-of-line waiting per inference, from current utilisations:
-        # each launch waits behind co-residents in proportion to how busy
-        # they keep the component.
-        if hol_coeff.any():
-            busy = rates[dnn_of] * inflated          # per-stage utilisation
-            blocked = busy * kernel_time             # u_t * k_t
-            totals = _segment_sum(blocked, comp_of, num_comp)
-            new_wait = hol_coeff * kernels * (totals[comp_of] - blocked)
-            # Damped so the rate<->waiting feedback loop cannot oscillate.
-            hol_wait = _DAMPING * hol_wait + (1.0 - _DAMPING) * new_wait
-
-        # A stage's rate is capped by its capacity share and by the serial
-        # latency ceiling (service + waiting); a DNN runs at its slowest
-        # stage's rate (pipeline bottleneck).
-        cap_rate = alloc / inflated
-        ceiling_rate = 1.0 / (inflated + hol_wait)
-        stage_rate = np.minimum(cap_rate, ceiling_rate)
-        new_rates = np.full(num_dnns, np.inf)
-        np.minimum.at(new_rates, dnn_of, stage_rate)
-        new_rates[np.isinf(new_rates)] = 0.0  # DNNs with no stages
-
-        # Water-fill each component: non-bottleneck stages keep only what
-        # they use; capacity-limited bottleneck stages split the remainder
-        # by entitlement.  Ceiling-limited stages gain nothing from more
-        # capacity, so they are treated as satisfied.  Components with no
-        # capacity-hungry stage keep their allocations as-is.
-        need = new_rates[dnn_of] * inflated
-        limiting = stage_rate <= new_rates[dnn_of] * (1 + 1e-9)
-        wants_more = limiting & (cap_rate <= ceiling_rate)
-        sat_need = _segment_sum(np.where(wants_more, 0.0, need),
-                                comp_of, num_comp)
-        hot_weight = _segment_sum(np.where(wants_more, weights, 0.0),
-                                  comp_of, num_comp)
-        has_hot = hot_weight[comp_of] > 0.0
-        free = np.maximum(1.0 - sat_need, 0.0)
-        target = np.where(
-            has_hot,
-            np.where(wants_more,
-                     free[comp_of] * weights
-                     / np.where(hot_weight[comp_of] > 0.0,
-                                hot_weight[comp_of], 1.0),
-                     need),
-            alloc,
-        )
-
-        max_rate = new_rates.max() if new_rates.size else 0.0
-        if np.abs(new_rates - rates).max() <= _TOL * max(max_rate, 1e-12):
-            rates = new_rates
-            converged = True
-            break
-        rates = new_rates
-        # Only the last _CYCLE_WINDOW iterates can ever be inspected, and
-        # the first inspection happens at _CYCLE_BURN_IN.
-        if iterations > _CYCLE_BURN_IN - _CYCLE_WINDOW:
-            history.append(new_rates.copy())
-        if len(history) > _CYCLE_WINDOW:
-            history.pop(0)
-        if iterations >= _CYCLE_BURN_IN and len(history) == _CYCLE_WINDOW:
-            window = np.stack(history)
-            span = window.max(axis=0) - window.min(axis=0)
-            floor = np.maximum(window.mean(axis=0), 1e-12)
-            if (span / floor).max() <= _CYCLE_TOL:
-                rates = window.mean(axis=0)
-                converged = True
-                break
-        alloc = _DAMPING * alloc + (1.0 - _DAMPING) * target
-
-    utilisation = _segment_sum(rates[dnn_of] * inflated, comp_of, num_comp)
-
-    return ContentionSolution(
-        rates=rates, stage_allocations=alloc,
-        stage_demands=inflated + hol_wait,
-        component_utilisation=utilisation, iterations=iterations,
-        converged=converged,
-    )
-
-
-def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
-                             num_dnns: int, platform: Platform,
-                             max_iter: int = _MAX_ITER,
-                             backend: str = "numpy",
-                             ) -> list[ContentionSolution]:
-    """Solve B mappings' fixed points simultaneously.
+def solve_batch_numpy(demand_sets: list[list[StageDemand]],
+                      num_dnns: int, platform: Platform,
+                      max_iter: int = _MAX_ITER) -> list[ContentionSolution]:
+    """Solve B mappings' fixed points simultaneously on the numpy backend.
 
     All mappings must cover the same workload (``num_dnns`` DNNs on
     ``platform``); they may have different stage counts — shorter elements
     are padded and masked.  Each element's trajectory is arithmetically
-    identical to :func:`solve_steady_state` on its demands alone: padded
+    identical to the scalar fixed point on its demands alone: padded
     lanes contribute exact zeros to every segment sum and ``+inf`` to every
     min-reduction, convergence and the limit-cycle resolution are tracked
     per element, and elements that converge are *compacted out* of the
     stacked arrays so stragglers keep iterating on ever-smaller batches.
-
-    ``backend`` selects the implementation (:mod:`repro.sim.backend`):
-    ``"numpy"`` runs this vectorized path, ``"compiled"`` dispatches to
-    the native kernel (numba or the cc-built C twin, numpy fallback with
-    a one-time warning when neither is available).  Unknown names raise
-    :class:`ValueError`.
+    ``max_iter`` caps the fixed-point iteration (tests lower it to
+    exercise the non-converged path).
     """
-    if backend != "numpy":
-        from .backend import normalize_backend, solve_batch_compiled
-        if normalize_backend(backend) == "compiled":
-            return solve_batch_compiled(demand_sets, num_dnns, platform,
-                                        max_iter)
     n_total = len(demand_sets)
     if n_total == 0:
         return []

@@ -8,7 +8,9 @@ to the receiving stage.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from itertools import groupby
 
 from ..hw.latency import block_latencies
 from ..hw.platform import Platform
@@ -39,29 +41,114 @@ class StageDemand:
         return self.seconds_per_inference / max(1, self.num_kernels)
 
 
+class _PlatformDemands:
+    """Stage demands memoised for one platform object.
+
+    ``by_assignment`` maps ``(model name, dnn index, assignment)`` to that
+    DNN's stage demands; ``by_stage`` maps ``(model name, dnn index,
+    component, block start, block end)`` to one :class:`StageDemand`.
+    Every value is built once with the expressions below, so a memo hit
+    returns the very floats a fresh build would (the zoo guarantees one
+    spec per model name, the key :func:`block_latencies` uses too).
+    """
+
+    def __init__(self):
+        self.models: dict[str, tuple] = {}
+        self.by_assignment: dict[tuple, tuple[StageDemand, ...]] = {}
+        self.by_stage: dict[tuple, StageDemand] = {}
+
+    def _model(self, model: ModelSpec, platform: Platform) -> tuple:
+        """Per-component block latencies, the kernel-count prefix and the
+        handoff seconds into each block."""
+        found = self.models.get(model.name)
+        if found is None:
+            latencies = [block_latencies(model, comp)
+                         for comp in platform.components]
+            prefix = [0]
+            for block in model.blocks:
+                prefix.append(prefix[-1] + len(block.layers))
+            handoffs = [platform.link.transfer_time(block.input_bytes)
+                        for block in model.blocks]
+            found = self.models[model.name] = (latencies, prefix, handoffs)
+        return found
+
+    def build(self, model: ModelSpec, dnn_index: int,
+              assignment: tuple[int, ...],
+              platform: Platform) -> tuple[StageDemand, ...]:
+        """One DNN's demands, stage by stage along ``assignment``."""
+        latencies, prefix, handoffs = self._model(model, platform)
+        by_stage = self.by_stage
+        out = []
+        start = 0
+        # Maximal same-component runs, as in extract_stages.
+        for comp, run in groupby(assignment):
+            end = start + len(tuple(run))
+            key = (model.name, dnn_index, comp, start, end)
+            demand = by_stage.get(key)
+            if demand is None:
+                seconds = sum(latencies[comp][start:end])
+                # Runs are maximal, so every stage after a DNN's first
+                # receives a cross-component handoff.
+                if start > 0:
+                    seconds += handoffs[start]
+                demand = StageDemand(Stage(dnn_index, comp, start, end),
+                                     seconds, prefix[end] - prefix[start])
+                _bounded_insert(by_stage, key, demand)
+            out.append(demand)
+            start = end
+        return tuple(out)
+
+
+#: Memo entries kept per platform before a memo is reset (bounds memory
+#: for long-lived processes that plan many distinct workloads).
+_MEMO_LIMIT = 1 << 14
+
+#: Per-platform memos keyed by ``id(platform)``.  A finalizer drops the
+#: entry when its platform is collected, so a memo lives exactly as long
+#: as the platform object (one scenario, typically) and a recycled id
+#: never finds a stale memo.
+_TABLES: dict[int, _PlatformDemands] = {}
+
+
+def _bounded_insert(memo: dict, key, value) -> None:
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+
+
+def _table(platform: Platform) -> _PlatformDemands:
+    table = _TABLES.get(id(platform))
+    if table is None:
+        table = _TABLES[id(platform)] = _PlatformDemands()
+        weakref.finalize(platform, _TABLES.pop, id(platform), None)
+    return table
+
+
 def compute_stage_demands(workload: list[ModelSpec], mapping: Mapping,
                           platform: Platform) -> list[StageDemand]:
-    """Demands for every stage of ``mapping`` over ``workload``."""
-    mapping.validate_against(workload, platform.num_components)
-    all_stages = mapping.stages()
+    """Demands for every stage of ``mapping`` over ``workload``.
+
+    Stages come in DNN-then-block order.  Each DNN's demands are memoised
+    per platform object and assignment; a mapping is validated against
+    ``workload`` whenever one of its DNNs misses the memo (a hit was
+    validated when it was built).
+    """
+    table = _table(platform)
+    memo = table.by_assignment
+    assignments = mapping.assignments
+    if len(assignments) != len(workload):
+        mapping.validate_against(workload, platform.num_components)
     demands: list[StageDemand] = []
-    per_comp_latencies = [
-        [block_latencies(model, platform.component(c))
-         for c in range(platform.num_components)]
-        for model in workload
-    ]
+    validated = False
     for dnn_index, model in enumerate(workload):
-        prev_comp: int | None = None
-        for stage in (s for s in all_stages if s.dnn_index == dnn_index):
-            latencies = per_comp_latencies[dnn_index][stage.component]
-            seconds = sum(latencies[stage.block_start : stage.block_end])
-            if prev_comp is not None and prev_comp != stage.component:
-                handoff = model.blocks[stage.block_start].input_bytes
-                seconds += platform.link.transfer_time(handoff)
-            kernels = sum(
-                len(model.blocks[b].layers)
-                for b in range(stage.block_start, stage.block_end)
-            )
-            demands.append(StageDemand(stage, seconds, kernels))
-            prev_comp = stage.component
+        key = (model.name, dnn_index, assignments[dnn_index])
+        found = memo.get(key)
+        if found is None:
+            if not validated:
+                mapping.validate_against(workload, platform.num_components)
+                validated = True
+            found = table.build(model, dnn_index, assignments[dnn_index],
+                                platform)
+            _bounded_insert(memo, key, found)
+        demands.extend(found)
     return demands

@@ -3,7 +3,7 @@
 This is the drop-in substitute for "run the workload on the Orange Pi 5 and
 record inferences/s" (see DESIGN.md).  All managers, the estimator-training
 dataset and every experiment observe the platform exclusively through
-:func:`simulate`.
+:func:`simulate_batch` (:func:`simulate` is its batch of one).
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import numpy as np
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
-from .contention import (
-    ContentionSolution,
-    solve_steady_state,
-    solve_steady_state_batch,
-)
+from .backend import DEFAULT_BACKEND, solve_steady_state_batch
+from .contention import ContentionSolution
 from .demands import compute_stage_demands
 
 __all__ = ["SimResult", "simulate", "simulate_batch"]
@@ -52,29 +49,22 @@ class SimResult:
 
 
 def simulate(workload: list[ModelSpec], mapping: Mapping,
-             platform: Platform) -> SimResult:
-    """Steady-state per-DNN throughput of ``mapping`` on ``platform``."""
-    demands = compute_stage_demands(workload, mapping, platform)
-    solution = solve_steady_state(demands, len(workload), platform)
-    ideal = np.array([platform.ideal_throughput(m) for m in workload])
-    return SimResult(
-        workload_names=tuple(m.name for m in workload),
-        rates=solution.rates,
-        ideal_rates=ideal,
-        solution=solution,
-    )
+             platform: Platform,
+             backend: str = DEFAULT_BACKEND) -> SimResult:
+    """Steady-state per-DNN throughput of ``mapping`` on ``platform``: a
+    batch of one through :func:`simulate_batch`."""
+    return simulate_batch(workload, [mapping], platform, backend)[0]
 
 
 def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
                    platform: Platform,
-                   backend: str = "numpy") -> list[SimResult]:
+                   backend: str = DEFAULT_BACKEND) -> list[SimResult]:
     """Steady-state throughput of several mappings of the same workload.
 
-    Equivalent to ``[simulate(workload, m, platform) for m in mappings]``
-    but solves all fixed points simultaneously on stacked arrays (see
-    :func:`repro.sim.contention.solve_steady_state_batch`), which is what
+    Solves all fixed points in one call (see
+    :func:`repro.sim.backend.solve_steady_state_batch`), which is what
     makes MCTS rollout batches and scenario sweeps cheap.  ``backend``
-    selects the solver implementation (``"numpy"`` or ``"compiled"``, see
+    selects the solver implementation (``"compiled"`` or ``"numpy"``, see
     :mod:`repro.sim.backend`).
     """
     if not mappings:

@@ -1,24 +1,20 @@
-"""Scalar-trajectory solver kernel for the compiled backend.
+"""Pure-python reference kernel of the compiled contention backend.
 
-:func:`solve_packed` is the damped fixed point of
-:func:`repro.sim.contention.solve_steady_state` written as plain loops
-over pre-packed flat arrays — the form `numba.njit` lowers to native
-code without object-mode fallbacks.  One call solves a whole batch:
-element ``b``'s stages live in ``offsets[b]:offsets[b+1]`` of the flat
-per-stage arrays, and each element runs the *scalar* solver's exact
-operation order (segment sums accumulate in stage order, the limit-cycle
-window averages chronologically, damping applies in the same
-multiply-then-add grouping), so the kernel's float trajectory is
-bit-compatible with the scalar oracle — the same contract the numpy
-batch path keeps, now locked by
-``tests/property/test_backend_equivalence.py``.
+:func:`solve_packed` is the damped fixed point of the scalar oracle
+(:func:`scalar_oracle.solve_steady_state`) written as plain loops over
+pre-packed flat arrays — line for line the C kernel
+``repro.sim._csolver.c``.  One call solves a whole batch: element ``b``'s
+stages live in ``offsets[b]:offsets[b+1]`` of the flat per-stage arrays,
+and each element runs the *scalar* solver's exact operation order (segment
+sums accumulate in stage order, the limit-cycle window averages
+chronologically, damping applies in the same multiply-then-add grouping),
+so the kernel's float trajectory is bit-compatible with the scalar oracle.
 
-The module stays importable (and the kernel runnable, slowly) without
-numba: :mod:`repro.sim.backend` JITs :func:`solve_packed` when numba is
-present and otherwise falls back to the cc-compiled C twin
-(:mod:`repro.sim._cext`) or the numpy batch path.  Keeping the reference
-logic executable in pure python is what lets the differential suite pin
-the kernel's numerics even on hosts without any compiled provider.
+It is the always-runnable anchor of
+``tests/property/test_backend_equivalence.py``: passed as ``impl`` to
+:func:`repro.sim.backend.solve_batch_compiled`, it pins the packing and
+the kernel's numerics bit for bit even on hosts where the C twin cannot
+be built.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Three layers of defence against silent drift in the compiled backend:
 
-* The **pure-python reference kernel** (`repro.sim._kernel.solve_packed`,
-  the exact code numba JITs) is differential-tested bit-for-bit against
-  the scalar oracle on every host — no compiled provider required, so
-  the kernel's numerics can never go untested.
-* The **resolved native provider** (numba, or the cc-built C twin) is
+* The **pure-python reference kernel** (`packed_kernel_oracle.solve_packed`,
+  the line-for-line twin of the C kernel) is differential-tested
+  bit-for-bit against the scalar oracle on every host — no compiled
+  provider required, so the kernel's numerics can never go untested.
+* The **resolved native provider** (the cc-built C twin) is
   held to the documented compiled-backend contract — rel <= 1e-12 on
   rates and utilisation, identical convergence flags, identical
   iteration counts on non-limit-cycle instances — and skip-marks, never
@@ -21,7 +21,6 @@ right: empty elements mixed into batches, heterogeneous stage counts
 driven past the burn-in), and truncated ``max_iter`` budgets.
 """
 
-import importlib.util
 import warnings
 
 import numpy as np
@@ -35,12 +34,14 @@ from repro.sim import (
     compiled_provider,
     compute_stage_demands,
     solve_batch_compiled,
-    solve_steady_state,
     solve_steady_state_batch,
 )
 from repro.sim import backend as backend_mod
 from repro.sim.contention import _CYCLE_BURN_IN
 from repro.zoo import get_model
+
+from packed_kernel_oracle import solve_packed
+from scalar_oracle import solve_steady_state
 
 PLATFORMS = {"orange_pi_5": orange_pi_5(), "jetson_class": jetson_class()}
 SMALL_POOL = ("alexnet", "squeezenet_v2", "mobilenet", "resnet12")
@@ -52,11 +53,7 @@ COMPILED_TOL = dict(rtol=1e-12, atol=0.0)
 PROVIDER = compiled_provider()
 needs_provider = pytest.mark.skipif(
     PROVIDER is None,
-    reason="no compiled provider (numba not installed, C build "
-           "unavailable)")
-needs_numba = pytest.mark.skipif(
-    importlib.util.find_spec("numba") is None,
-    reason="numba not installed")
+    reason="no compiled provider (C build unavailable)")
 
 
 def _demand_batch(pool, num_models, seed, batch_size, platform):
@@ -106,7 +103,7 @@ class TestReferenceKernel:
         workload, sets = _demand_batch(SMALL_POOL, num_models, seed,
                                        batch_size, platform)
         got = solve_batch_compiled(sets, len(workload), platform,
-                                   impl="python")
+                                   impl=solve_packed)
         for demands, sol in zip(sets, got):
             _assert_bit_identical(
                 solve_steady_state(demands, len(workload), platform), sol)
@@ -117,7 +114,7 @@ class TestReferenceKernel:
         platform = PLATFORMS["orange_pi_5"]
         workload, sets = _demand_batch(SMALL_POOL, 3, seed, 3, platform)
         got = solve_batch_compiled(sets, len(workload), platform,
-                                   max_iter=max_iter, impl="python")
+                                   max_iter=max_iter, impl=solve_packed)
         for demands, sol in zip(sets, got):
             _assert_bit_identical(
                 solve_steady_state(demands, len(workload), platform,
@@ -131,7 +128,7 @@ class TestReferenceKernel:
         # The mix must actually exercise the cycle-resolution path.
         assert any(s.iterations >= _CYCLE_BURN_IN for s in scalars)
         got = solve_batch_compiled(sets, len(workload), platform,
-                                   impl="python")
+                                   impl=solve_packed)
         for scalar, sol in zip(scalars, got):
             _assert_bit_identical(scalar, sol)
 
@@ -139,7 +136,7 @@ class TestReferenceKernel:
         platform = PLATFORMS["orange_pi_5"]
         workload, sets = _demand_batch(SMALL_POOL, 2, 1, 1, platform)
         got = solve_batch_compiled([[], sets[0], []], len(workload),
-                                   platform, impl="python")
+                                   platform, impl=solve_packed)
         for sol in (got[0], got[2]):
             assert sol.converged and sol.iterations == 0
             assert sol.stage_allocations.size == 0
@@ -155,7 +152,7 @@ class TestReferenceKernel:
                                    seconds_per_inference=0.0,
                                    num_kernels=1)
         with pytest.raises(ValueError, match="must be positive"):
-            solve_batch_compiled([[bad]], 2, platform, impl="python")
+            solve_batch_compiled([[bad]], 2, platform, impl=solve_packed)
 
 
 @needs_provider
@@ -211,25 +208,6 @@ class TestNativeProvider:
         for a, b in zip(via_entry, direct):
             np.testing.assert_array_equal(a.rates, b.rates)
             assert a.iterations == b.iterations
-
-
-@needs_numba
-class TestNumbaProvider:
-    """Numba-specific row: the JITted kernel matches the scalar oracle.
-
-    Separate from :class:`TestNativeProvider` so a host with numba
-    exercises the JIT even when probing happened to resolve another
-    provider first, and a host without numba reports a visible skip.
-    """
-
-    def test_jit_matches_scalar(self):
-        platform = PLATFORMS["orange_pi_5"]
-        workload, sets = _demand_batch(SMALL_POOL, 3, 11, 6, platform)
-        got = solve_batch_compiled(sets, len(workload), platform,
-                                   impl="numba")
-        for demands, sol in zip(sets, got):
-            _assert_within_contract(
-                solve_steady_state(demands, len(workload), platform), sol)
 
 
 class TestFallback:

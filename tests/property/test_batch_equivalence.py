@@ -10,8 +10,9 @@ counts inside one batch, and empty demand sets.
 Every test is parametrized over the solver backends: ``numpy`` runs the
 vectorized path (the seed contract) and ``compiled`` dispatches to the
 native kernel.  The compiled rows skip-mark — never silently pass on the
-numpy fallback — when no native provider (numba or the cc-built C twin)
-is available on the host.
+numpy fallback — when no native provider (the cc-built C twin) is
+available on the host.  The scalar reference is the oracle kept beside
+the tests (``scalar_oracle.py``).
 """
 
 import numpy as np
@@ -26,11 +27,12 @@ from repro.sim import (
     compute_stage_demands,
     simulate,
     simulate_batch,
-    solve_steady_state,
     solve_steady_state_batch,
 )
 from repro.sim.contention import _CYCLE_BURN_IN
 from repro.zoo import get_model
+
+from scalar_oracle import solve_steady_state
 
 PLATFORMS = {"orange_pi_5": orange_pi_5(), "jetson_class": jetson_class()}
 SMALL_POOL = ("alexnet", "squeezenet_v2", "mobilenet", "resnet12")
@@ -43,9 +45,8 @@ BACKEND_PARAMS = [
     "numpy",
     pytest.param("compiled", marks=pytest.mark.skipif(
         compiled_provider() is None,
-        reason="no compiled provider (numba not installed, C build "
-               "unavailable); the fallback aliases numpy and must not "
-               "pass as 'compiled'")),
+        reason="no compiled provider (C build unavailable); the "
+               "fallback aliases numpy and must not pass as 'compiled'")),
 ]
 
 

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.sim import compiled_provider
+from repro.sim import DEFAULT_BACKEND, compiled_provider
 
 from repro.runner import (
     MANAGER_SPECS,
@@ -554,7 +554,42 @@ class TestBackendPlumbing:
     def test_dynamic_from_dict_roundtrip_with_backend(self):
         d = DynamicScenario.from_dict({"name": "d", "backend": "compiled"})
         assert d.backend == "compiled"
-        assert DynamicScenario.from_dict({"name": "d"}).backend == "numpy"
+        assert DynamicScenario.from_dict({"name": "d"}).backend \
+            == DEFAULT_BACKEND
+
+    @staticmethod
+    def _forbid(monkeypatch, targets):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved on the wrong backend")
+        for module, name in targets:
+            monkeypatch.setattr(module, name, forbidden)
+
+    @pytest.mark.skipif(compiled_provider() is None,
+                        reason="no compiled provider available")
+    def test_compiled_scenario_never_solves_on_numpy(self, monkeypatch):
+        """Planning *and* the final measurement honour the scenario's
+        backend: with every numpy solve patched to raise (the batch solver
+        and the per-component accumulation every numpy fixed point runs
+        on), a compiled scenario still completes."""
+        from repro.sim import contention
+
+        self._forbid(monkeypatch, [(contention, "solve_batch_numpy"),
+                                   (contention, "_segment_sum")])
+        spec = Scenario(name="c", workload=("alexnet", "squeezenet"),
+                        backend="compiled", **FAST)
+        result = execute_scenario(spec)
+        assert len(result.rates) == 2 and min(result.rates) > 0
+
+    def test_numpy_scenario_never_solves_compiled(self, monkeypatch):
+        from repro.sim import _cext
+        from repro.sim import backend as backend_mod
+
+        self._forbid(monkeypatch, [(backend_mod, "solve_batch_compiled"),
+                                   (_cext, "solve_packed_c")])
+        spec = Scenario(name="n", workload=("alexnet", "squeezenet"),
+                        backend="numpy", **FAST)
+        result = execute_scenario(spec)
+        assert len(result.rates) == 2 and min(result.rates) > 0
 
     def test_scenario_from_dict_roundtrip_with_backend(self):
         s = Scenario.from_dict({"name": "s", "workload": ["alexnet"],

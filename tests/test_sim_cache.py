@@ -9,7 +9,7 @@ from repro.hw import orange_pi_5
 from repro.mapping import Mapping, gpu_only_mapping, uniform_block_mapping
 from repro.search import MCTSConfig
 from repro.search.mcts import MCTS
-from repro.sim import EvaluationCache, simulate
+from repro.sim import DEFAULT_BACKEND, EvaluationCache, simulate
 from repro.zoo import get_model
 
 PLATFORM = orange_pi_5()
@@ -93,10 +93,11 @@ class TestEvaluationCache:
             EvaluationCache(PLATFORM, backend="fortran")
         workload = wl("alexnet", "mobilenet")
         mapping = gpu_only_mapping(workload)
-        numpy_key = EvaluationCache.key(workload, mapping)
-        assert numpy_key == EvaluationCache.key(workload, mapping, "numpy")
-        assert numpy_key != EvaluationCache.key(workload, mapping,
-                                                "compiled")
+        default_key = EvaluationCache.key(workload, mapping)
+        assert default_key == EvaluationCache.key(workload, mapping,
+                                                  DEFAULT_BACKEND)
+        assert EvaluationCache.key(workload, mapping, "numpy") \
+            != EvaluationCache.key(workload, mapping, "compiled")
 
     def test_backend_instances_do_not_share_entries(self):
         workload = wl("alexnet", "mobilenet")

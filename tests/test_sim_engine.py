@@ -1,5 +1,7 @@
 """Unit tests for stage demands, the contention solver, and the simulator."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,34 @@ class TestStageDemands:
         split = Mapping((tuple([0] * 1 + [1] * (n - 1)),))
         demands = compute_stage_demands(workload, split, PLATFORM)
         assert sum(d.num_kernels for d in demands) == workload[0].num_layers
+
+
+    def test_invalid_mapping_rejected_after_memo_warms(self):
+        """Memo hits skip re-validation, so a mapping that only shares its
+        valid DNNs with memoised ones must still be rejected."""
+        workload = wl("alexnet", "mobilenet")
+        good = gpu_only_mapping(workload)
+        compute_stage_demands(workload, good, PLATFORM)
+        bad_last = Mapping((good.assignments[0],
+                            (PLATFORM.num_components,)
+                            * workload[1].num_blocks))
+        with pytest.raises(ValueError, match="out of range"):
+            compute_stage_demands(workload, bad_last, PLATFORM)
+        with pytest.raises(ValueError, match="covers 1 DNNs"):
+            compute_stage_demands(workload, Mapping(good.assignments[:1]),
+                                  PLATFORM)
+
+    def test_demand_memo_lives_as_long_as_its_platform(self):
+        from repro.sim import demands as demands_mod
+
+        platform = orange_pi_5()
+        workload = wl("alexnet")
+        compute_stage_demands(workload, gpu_only_mapping(workload), platform)
+        key = id(platform)
+        assert key in demands_mod._TABLES
+        del platform
+        gc.collect()
+        assert key not in demands_mod._TABLES
 
 
 class TestSolverInvariants:
