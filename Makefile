@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-prop bench serve-demo obs-demo docs-check
+.PHONY: test test-prop bench perf serve-demo obs-demo docs-check
 
 ## Tier-1 verification: the full test suite in benchmark smoke mode.
 test:
@@ -19,6 +19,13 @@ test-prop:
 ## dated entry to BENCH_history.jsonl (the cross-PR perf trajectory).
 bench:
 	$(PY) benchmarks/record_bench.py
+
+## One 30 s end-to-end benchmark run (BENCHMARK.json) of workload W with
+## seed SEED, untraced, e.g. `make perf W=serve_replan SEED=1`.
+W ?= serve_replan
+SEED ?= 1
+perf:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 30 --trace 0
 
 ## Online-serving demo: 600 s Poisson trace through the three replan
 ## policies, with evaluation-cache persistence between runs.

@@ -22,9 +22,12 @@ from repro.search import MCTSConfig
 from repro.sim import (
     EvaluationCache,
     compiled_provider,
+    compute_stage_demands,
     simulate,
     simulate_batch,
+    solve_batch_compiled,
 )
+from repro.sim.contention import solve_batch_numpy
 from repro.vqvae import EmbeddingCache, LayerVQVAE
 from repro.zoo import get_model
 
@@ -61,33 +64,48 @@ _NEEDS_COMPILED = pytest.mark.skipif(
     compiled_provider() is None,
     reason="no compiled solver provider (no C compiler) on this host")
 
-#: ids keep the pre-existing history row names ("1"/"4"/"16") for the
-#: numpy sweep and add side-by-side "compiled-*" rows for the C kernel.
+#: ``1``/``4``/``16`` time ``simulate_batch`` end to end on the host's
+#: solver; ``compiled-*`` and ``numpy-16`` time one solver alone on the
+#: same mappings' precomputed demands.
 _SOLVE_BATCH_PARAMS = [
-    pytest.param("numpy", 1, id="1"),
-    pytest.param("numpy", 4, id="4"),
-    pytest.param("numpy", 16, id="16"),
+    pytest.param("simulate", 1, id="1"),
+    pytest.param("simulate", 4, id="4"),
+    pytest.param("simulate", 16, id="16"),
     pytest.param("compiled", 1, id="compiled-1", marks=_NEEDS_COMPILED),
     pytest.param("compiled", 4, id="compiled-4", marks=_NEEDS_COMPILED),
     pytest.param("compiled", 16, id="compiled-16", marks=_NEEDS_COMPILED),
+    pytest.param("numpy", 16, id="numpy-16"),
 ]
 
 
-@pytest.mark.parametrize("backend, batch", _SOLVE_BATCH_PARAMS)
-def test_bench_simulator_solve_batch(benchmark, rollout_mappings, backend,
+@pytest.mark.parametrize("path, batch", _SOLVE_BATCH_PARAMS)
+def test_bench_simulator_solve_batch(benchmark, rollout_mappings, path,
                                      batch):
-    """Batch-size sweep of the fixed-point solver, per backend.
+    """Batch-size sweep of the contention solve.
 
-    Acceptance for the compiled backend: the ``compiled-16`` row beats
-    the numpy ``16`` row by >= 5x (both rows land in
-    ``BENCH_history.jsonl`` and are guarded by ``record_bench.py``).
+    The bare rows time ``simulate_batch`` (demands + solve + reports) on
+    the host's solver.  ``compiled-*`` time the C kernel alone,
+    :func:`repro.sim.solve_batch_compiled`, and ``numpy-16`` the
+    no-compiler fallback, :func:`repro.sim.contention.solve_batch_numpy`,
+    on the same mappings' demands.  Acceptance: ``compiled-16`` beats
+    ``numpy-16`` by >= 5x (both rows land in ``BENCH_history.jsonl`` and
+    are guarded by ``record_bench.py``).
     """
-    simulate(WORKLOAD, rollout_mappings[0], PLATFORM)  # warm latency caches
     subset = rollout_mappings[:batch]
-    # Warm the backend too: the first compiled call pays the .so build.
-    simulate_batch(WORKLOAD, subset, PLATFORM, backend=backend)
-    result = benchmark(lambda: simulate_batch(WORKLOAD, subset, PLATFORM,
-                                              backend=backend))
+    # Warm the latency caches and the solver: the first solve of a
+    # process pays the C kernel's build.
+    simulate_batch(WORKLOAD, subset, PLATFORM)
+    demand_sets = [compute_stage_demands(WORKLOAD, m, PLATFORM)
+                   for m in subset]
+    if path == "compiled":
+        result = benchmark(lambda: solve_batch_compiled(
+            demand_sets, len(WORKLOAD), PLATFORM))
+    elif path == "numpy":
+        result = benchmark(lambda: solve_batch_numpy(
+            demand_sets, len(WORKLOAD), PLATFORM))
+    else:
+        result = benchmark(lambda: simulate_batch(WORKLOAD, subset,
+                                                  PLATFORM))
     assert len(result) == batch
 
 
@@ -308,14 +326,13 @@ def test_bench_serve_preempt(benchmark, preemption):
         assert report.demotions > 0
 
 
-@pytest.mark.parametrize("policy_key, backend", [
-    pytest.param("full", "numpy", id="full"),
-    pytest.param("warm", "numpy", id="warm"),
-    pytest.param("cache", "numpy", id="cache"),
-    pytest.param("full", "compiled", id="full-compiled",
-                 marks=_NEEDS_COMPILED),
+@pytest.mark.parametrize("policy_key, cold", [
+    pytest.param("full", False, id="full"),
+    pytest.param("warm", False, id="warm"),
+    pytest.param("cache", False, id="cache"),
+    pytest.param("full", True, id="full-compiled", marks=_NEEDS_COMPILED),
 ])
-def test_bench_serve_replan(benchmark, policy_key, backend):
+def test_bench_serve_replan(benchmark, policy_key, cold):
     """Serve-path replan decision: full search vs warm start vs plan-cache.
 
     Measures one replan after an arrival extends a 3-DNN incumbent to 4
@@ -325,15 +342,14 @@ def test_bench_serve_replan(benchmark, policy_key, backend):
     evaluations, or the O(1) plan-cache lookup.  The modeled on-board
     decision latency must shrink in the same order (asserted below),
     which is what turns into re-mapping gap time online.  The
-    ``full-compiled`` row repeats the full search with the compiled
-    contention solver under the cache: first-touch solves go through the
-    compiled backend, steady-state rounds share the warmed cache, so the
-    row pins that swapping the solver substrate costs the replan loop
-    nothing.
+    ``full-compiled`` row repeats the full search on an emptied
+    evaluation cache each round, so every candidate is a first-touch
+    solve on the compiled contention kernel: the cold replan the kernel
+    exists to speed up.
     """
     from repro.serve import build_replan_policy
 
-    cache = EvaluationCache(PLATFORM, backend=backend)
+    cache = EvaluationCache(PLATFORM)
     manager = RankMap(
         PLATFORM, OraclePredictor(PLATFORM, cache=cache),
         RankMapConfig(mode="dynamic",
@@ -347,7 +363,12 @@ def test_bench_serve_replan(benchmark, policy_key, backend):
     incumbent = (tuple(m.name for m in resident), first.mapping)
     policy.replan(workload, None, incumbent)             # prime plan cache
 
-    outcome = benchmark(lambda: policy.replan(workload, None, incumbent))
+    def replan():
+        if cold:
+            cache.clear()
+        return policy.replan(workload, None, incumbent)
+
+    outcome = benchmark(replan)
 
     full_modeled = (manager.config.mcts.total_evaluations
                     * manager.predictor.board_latency_per_eval)

@@ -25,7 +25,6 @@ from ..search.reward import (
     mapping_reward,
     thresholds_for,
 )
-from ..sim.backend import DEFAULT_BACKEND, normalize_backend
 from ..sim.dynamic import MappingDecision
 from ..zoo.layers import ModelSpec
 from .predictor import RatePredictor
@@ -110,20 +109,14 @@ class RankMapConfig:
 
 
 class RankMap(Manager):
-    """Priority-aware multi-DNN manager for heterogeneous platforms.
-
-    ``backend`` is the contention-solver backend board validation
-    measures candidates on (:mod:`repro.sim.backend`).
-    """
+    """Priority-aware multi-DNN manager for heterogeneous platforms."""
 
     def __init__(self, platform: Platform, predictor: RatePredictor,
-                 config: RankMapConfig | None = None,
-                 backend: str = DEFAULT_BACKEND):
+                 config: RankMapConfig | None = None):
         config = config if config is not None else RankMapConfig()
         self.platform = platform
         self.predictor = predictor
         self.config = config
-        self.backend = normalize_backend(backend)
         self.name = "rankmap_s" if config.mode == "static" else "rankmap_d"
         self.last_stats: MCTSStats | None = None
         self.last_priorities: np.ndarray | None = None
@@ -199,8 +192,7 @@ class RankMap(Manager):
         best_margin = -np.inf
         margin_mapping = fallback
         mappings = [candidate for _, candidate in candidates]
-        measured = simulate_batch(workload, mappings, self.platform,
-                                  backend=self.backend)
+        measured = simulate_batch(workload, mappings, self.platform)
         for candidate, result in zip(mappings, measured):
             reward = mapping_reward(result.rates, p, thresholds, ideals,
                                     kind)

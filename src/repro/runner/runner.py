@@ -223,8 +223,7 @@ def _rankmap(mode: str):
         return RankMap(platform,
                        resolve_predictor(scenario, platform, cache,
                                          recorder=recorder),
-                       RankMapConfig(mode=mode, mcts=_mcts(scenario)),
-                       backend=scenario.backend)
+                       RankMapConfig(mode=mode, mcts=_mcts(scenario)))
     return build
 
 
@@ -275,7 +274,7 @@ def execute_scenario(scenario: Scenario) -> ScenarioResult:
             f"unknown platform {scenario.platform!r}; "
             f"choose from {sorted(PLATFORM_SPECS)}") from None
     workload = [get_model(n) for n in scenario.workload]
-    cache = EvaluationCache(platform, backend=scenario.backend)
+    cache = EvaluationCache(platform)
     manager = build_manager(scenario, platform, cache)
     priorities = (np.asarray(scenario.priorities, dtype=np.float64)
                   if scenario.priorities is not None else None)
@@ -283,8 +282,7 @@ def execute_scenario(scenario: Scenario) -> ScenarioResult:
     t0 = time.perf_counter()
     decision = manager.plan(workload, priorities)
     wall = time.perf_counter() - t0
-    result = simulate(workload, decision.mapping, platform,
-                      backend=scenario.backend)
+    result = simulate(workload, decision.mapping, platform)
     return ScenarioResult(
         name=scenario.name,
         manager=scenario.manager,
@@ -314,7 +312,7 @@ def _serve_requests(spec: DynamicScenario,
     how warm it starts.
 
     An *incompatible* cache file (other platform's fingerprint, unknown
-    format) downgrades to a cold start instead of aborting: the cache
+    format, another solver's stamp) downgrades to a cold start instead of aborting: the cache
     only changes wall clock, never a report bit, and a heterogeneous
     fleet sharing one ``cache_path`` legitimately warms only the nodes
     the file matches.  ``eval_cache_preloaded == 0`` on the result is the
@@ -332,8 +330,7 @@ def _serve_requests(spec: DynamicScenario,
     cache = None
     if spec.cache_path is not None and Path(spec.cache_path).exists():
         try:
-            cache = EvaluationCache.load(spec.cache_path, platform,
-                                         backend=spec.backend)
+            cache = EvaluationCache.load(spec.cache_path, platform)
             preloaded = len(cache)
         except (ValueError, KeyError, AttributeError, EOFError,
                 pickle.UnpicklingError) as exc:
@@ -352,7 +349,7 @@ def _serve_requests(spec: DynamicScenario,
             if recorder.enabled:
                 recorder.count(EVAL_CACHE_DOWNGRADES)
     if cache is None:
-        cache = EvaluationCache(platform, backend=spec.backend)
+        cache = EvaluationCache(platform)
     manager = build_manager(spec, platform, cache, recorder=recorder)
     policy = build_replan_policy(spec.policy, manager)
 

@@ -17,8 +17,6 @@ problem.  This subsystem closes that gap:
   :func:`repro.sim.run_dynamic_scenario`.  Arrivals stream: any ordered
   iterable of requests works, so million-session traces are served
   without ever being materialised.
-* :mod:`repro.serve.reference` — the pre-streaming loop kept as an
-  executable oracle; the property suite pins the two bit-identical.
 * :mod:`repro.serve.report` — plain-data per-session and aggregate
   outcomes (:class:`ServeReport`), safe to ship across process pools.
 * :mod:`repro.serve.fleet` — the cluster layer: a dispatcher routing one
@@ -54,7 +52,6 @@ from .preempt import (
     RenegotiateTier,
     build_preemption_policy,
 )
-from .reference import serve_trace_reference
 from .replan import (
     REPLAN_POLICIES,
     FullReplan,
@@ -83,7 +80,6 @@ __all__ = [
     "build_preemption_policy",
     "ServeConfig",
     "serve_trace",
-    "serve_trace_reference",
     "ReplanPolicy",
     "ReplanOutcome",
     "FullReplan",

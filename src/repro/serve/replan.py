@@ -150,8 +150,7 @@ class WarmStartReplan(ReplanPolicy):
         # Shares the predictor (and therefore the evaluation cache) with
         # the wrapped manager; only the search budget shrinks.
         self._fallback = RankMap(manager.platform, manager.predictor,
-                                 replace(manager.config, mcts=reduced),
-                                 backend=manager.backend)
+                                 replace(manager.config, mcts=reduced))
 
     # ------------------------------------------------------------------
     def _candidates(self, workload: list[ModelSpec],

@@ -1,10 +1,8 @@
 """Execution simulator (the paper's board-measurement substitute)."""
 
 from .backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
+    active_solver,
     compiled_provider,
-    normalize_backend,
     solve_batch_compiled,
     solve_steady_state_batch,
 )
@@ -27,9 +25,7 @@ from .dynamic import (
 from .engine import SimResult, simulate, simulate_batch
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "normalize_backend",
+    "active_solver",
     "compiled_provider",
     "solve_batch_compiled",
     "ContentionSolution",

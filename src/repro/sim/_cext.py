@@ -3,9 +3,9 @@
 Compiles ``_csolver.c`` (the packed fixed-point kernel whose line-for-line
 pure-python twin, ``tests/property/packed_kernel_oracle.py``, anchors the
 differential suite) with the host C compiler into a shared object cached
-next to the source, and exposes it through ctypes.  It is the provider
-behind the default ``compiled`` backend; without a working ``cc`` the
-backend falls back, with a warning, to the numpy batch solver.
+next to the source, and exposes it through ctypes.  Every contention
+solve runs on it when it loads; without a working ``cc`` solves fall
+back, with a warning, to the numpy batch solver.
 
 The build is hermetic and failure-tolerant:
 
@@ -16,8 +16,8 @@ The build is hermetic and failure-tolerant:
   read-only;
 * compilation happens at most once per process and never raises out of
   :func:`load_solver` — any failure (no compiler, sandboxed exec,
-  unwritable disk) returns ``None`` and the backend layer falls through
-  to the numpy fallback.
+  unwritable disk) returns ``None`` and :mod:`repro.sim.backend` falls
+  through to the numpy fallback.
 
 Optimisation flags deliberately exclude ``-ffast-math``: the kernel's
 contract is bit-compatibility with the scalar solver, which fast-math's

@@ -1,33 +1,28 @@
-"""Contention-solver backend switch: ``compiled`` (default) or ``numpy``.
+"""The one contention-solve entry point, on the solver the host supports.
 
 The damped fixed point in :mod:`repro.sim.contention` is the innermost
-hot loop of every plan/serve/fleet decision.  This module owns the
-production entry point, :func:`solve_steady_state_batch`, which
-dispatches on an explicit backend name that threads from
-:func:`repro.sim.engine.simulate_batch` through the
-:class:`repro.sim.cache.EvaluationCache` key and the scenario runner.
+hot loop of every plan/serve/fleet decision.  Every solve goes through
+:func:`solve_steady_state_batch`, which runs one of two implementations
+of the same fixed point; the host picks which, the caller never does:
 
-Backend names and contracts:
-
-* ``"compiled"`` (:data:`DEFAULT_BACKEND`) — a native C kernel over
-  CSR-packed flat arrays (``_csolver.c``, built on demand by
-  :mod:`repro.sim._cext`) that follows the scalar oracle's exact
-  operation order, so its float trajectory is bit-compatible; the
-  differential suite (``tests/property/test_backend_equivalence.py``)
-  additionally tolerates ``rel ≤ 1e-12`` on rates/utilisation to stay
-  robust to compiler-scheduling differences across hosts, and requires
-  identical convergence flags plus identical iteration counts on
-  non-limit-cycle instances.
-* ``"numpy"`` — the vectorized batch solver
-  :func:`repro.sim.contention.solve_batch_numpy`, bit-identical to the
+* the native C kernel over CSR-packed flat arrays (``_csolver.c``, built
+  on demand by :mod:`repro.sim._cext`) whenever :func:`compiled_provider`
+  loads it.  It follows the scalar oracle's exact operation order, so
+  its float trajectory is bit-compatible; the differential suite
+  (``tests/property/test_backend_equivalence.py``) additionally
+  tolerates ``rel <= 1e-12`` on rates/utilisation to stay robust to
+  compiler-scheduling differences across hosts, and requires identical
+  convergence flags plus identical iteration counts on non-limit-cycle
+  instances;
+* otherwise the vectorized :func:`repro.sim.contention.solve_batch_numpy`,
+  after a one-time :class:`RuntimeWarning`.  It is bit-identical to the
   scalar oracle kept under ``tests/`` (locked by
-  ``tests/property/test_batch_equivalence.py``).
+  ``tests/property/test_batch_equivalence.py``), so results stay correct
+  while the slowdown is visible.
 
-The compiled provider is probed lazily, once per process, on the first
-compiled solve: ``"cext"`` when the host C compiler builds a loadable
-library, else none — the call is then answered by the numpy batch path
-after a one-time :class:`RuntimeWarning`, so results stay correct (and
-identical) while the degradation is visible.
+The provider is probed lazily, once per process, on the first solve;
+:func:`active_solver` names the outcome (``"compiled"`` or ``"numpy"``)
+for reports and persisted caches.
 """
 
 from __future__ import annotations
@@ -52,46 +47,23 @@ from .contention import (
 from .demands import StageDemand
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "normalize_backend",
+    "active_solver",
     "compiled_provider",
     "solve_batch_compiled",
     "solve_steady_state_batch",
 ]
-
-BACKENDS = ("numpy", "compiled")
-"""Recognised backend names, in documentation order."""
-
-DEFAULT_BACKEND = "compiled"
-"""Backend every solve uses unless a scenario or caller names another."""
 
 _provider: str | None = None
 _provider_probed = False
 _fallback_warned = False
 
 
-def normalize_backend(backend: str) -> str:
-    """Validate a backend name, returning it unchanged.
-
-    Raises :class:`ValueError` naming the accepted choices for anything
-    outside :data:`BACKENDS` (including non-strings), so scenario
-    loading and solver entry points reject typos loudly instead of
-    silently running another backend.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown solver backend {backend!r}: choose from "
-            + " | ".join(BACKENDS))
-    return backend
-
-
 def compiled_provider() -> str | None:
-    """Name of the native provider backing ``compiled``, or ``None``.
+    """Name of the native kernel provider, or ``None`` without one.
 
     Probes at most once per process: ``"cext"`` if the on-demand C build
-    produces a loadable library, else ``None`` (the compiled backend then
-    falls back to numpy with a one-time warning).
+    produces a loadable library, else ``None`` (solves then run on the
+    numpy fallback with a one-time warning).
     """
     global _provider, _provider_probed
     if _provider_probed:
@@ -101,6 +73,11 @@ def compiled_provider() -> str | None:
     if _cext.load_solver() is not None:
         _provider = "cext"
     return _provider
+
+
+def active_solver() -> str:
+    """The solver this process runs: ``"compiled"`` or ``"numpy"``."""
+    return "numpy" if compiled_provider() is None else "compiled"
 
 
 def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
@@ -158,30 +135,16 @@ def _pack(demand_sets: list[list[StageDemand]], num_dnns: int,
 def solve_batch_compiled(demand_sets: list[list[StageDemand]],
                          num_dnns: int, platform: Platform,
                          max_iter: int = _MAX_ITER,
-                         impl=None) -> list[ContentionSolution]:
-    """Solve a batch of mappings on the compiled backend.
+                         kernel=None) -> list[ContentionSolution]:
+    """Pack a batch, run a packed kernel over it and unpack the results.
 
-    Same contract as :func:`solve_steady_state_batch`.  ``impl`` forces a
-    kernel instead of the probed provider: ``"cext"``, or any callable
-    with the packed kernel's signature (the differential suite passes
-    its pure-python reference kernel this way).  With no provider
-    available the call falls back to the numpy batch solver, warning
-    once per process.
+    Same contract as :func:`solve_steady_state_batch`.  ``kernel`` is the
+    packed kernel to run: the C kernel by default (``RuntimeError`` when
+    it cannot load), or any callable with its signature (the
+    differential suite passes its pure-python reference kernel).
     """
-    if impl is None:
-        impl = compiled_provider()
-        if impl is None:
-            global _fallback_warned
-            if not _fallback_warned:
-                _fallback_warned = True
-                warnings.warn(
-                    "compiled solver backend unavailable (the C kernel "
-                    "failed to build); falling back to the numpy backend",
-                    RuntimeWarning, stacklevel=2)
-            return solve_batch_numpy(demand_sets, num_dnns, platform,
-                                     max_iter)
-    if impl != "cext" and not callable(impl):
-        raise ValueError(f"unknown compiled-kernel implementation {impl!r}")
+    if kernel is None:
+        from ._cext import solve_packed_c as kernel
 
     n_total = len(demand_sets)
     if n_total == 0:
@@ -198,10 +161,6 @@ def solve_batch_compiled(demand_sets: list[list[StageDemand]],
     out_iters = np.zeros(n_packed, dtype=np.int64)
     out_conv = np.zeros(n_packed, dtype=np.uint8)
     if n_packed:
-        if impl == "cext":
-            from ._cext import solve_packed_c as kernel
-        else:
-            kernel = impl
         kernel(offsets, comp_of, dnn_of, inflated, kernel_time, hol_k,
                weights, num_dnns, num_comp, max_iter, _DAMPING, _TOL,
                _CYCLE_WINDOW, _CYCLE_TOL, _CYCLE_BURN_IN,
@@ -232,20 +191,22 @@ def solve_batch_compiled(demand_sets: list[list[StageDemand]],
 def solve_steady_state_batch(demand_sets: list[list[StageDemand]],
                              num_dnns: int, platform: Platform,
                              max_iter: int = _MAX_ITER,
-                             backend: str = DEFAULT_BACKEND,
                              ) -> list[ContentionSolution]:
-    """Solve B mappings' fixed points on the named backend.
+    """Solve B mappings' fixed points on the host's solver.
 
     All mappings must cover the same workload (``num_dnns`` DNNs on
     ``platform``); they may have different stage counts, and empty
-    demand sets answer with a zero-rate converged solution.
-    ``backend`` selects the implementation: ``"compiled"`` runs the
-    native kernel (numpy fallback with a one-time warning when it is
-    unavailable), ``"numpy"`` the vectorized
-    :func:`repro.sim.contention.solve_batch_numpy`.  Unknown names raise
-    :class:`ValueError`.
+    demand sets answer with a zero-rate converged solution.  Runs the C
+    kernel when it loads, else the numpy batch solver after a one-time
+    :class:`RuntimeWarning` (see the module docstring).
     """
-    if normalize_backend(backend) == "compiled":
-        return solve_batch_compiled(demand_sets, num_dnns, platform,
-                                    max_iter)
-    return solve_batch_numpy(demand_sets, num_dnns, platform, max_iter)
+    if compiled_provider() is None:
+        global _fallback_warned
+        if not _fallback_warned:
+            _fallback_warned = True
+            warnings.warn(
+                "compiled contention solver unavailable (the C kernel "
+                "failed to build); falling back to the numpy solver",
+                RuntimeWarning, stacklevel=2)
+        return solve_batch_numpy(demand_sets, num_dnns, platform, max_iter)
+    return solve_batch_compiled(demand_sets, num_dnns, platform, max_iter)

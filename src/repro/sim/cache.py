@@ -10,17 +10,11 @@ Cache-key canonicalization
 --------------------------
 
 A cache instance is bound to one :class:`~repro.hw.platform.Platform`
-(platform parameters are part of neither key nor value) and one solver
-backend, and a cached entry is keyed by::
+(platform parameters are part of neither key nor value), and a cached
+entry is keyed by::
 
-    key = (backend, tuple of model names, mapping.assignments)
+    key = (tuple of model names, mapping.assignments)
 
-* **Backend** is the solver implementation name (``"compiled"``, the
-  default, or ``"numpy"``; see :mod:`repro.sim.backend`).  The two
-  backends agree only within a documented tolerance, so an entry solved
-  on one must never answer a request made on the other — the backend is
-  part of the key, not just an instance attribute, so the isolation survives
-  :meth:`~EvaluationCache.save`/:meth:`~EvaluationCache.load` too.
 * **Model names** stand in for the full :class:`ModelSpec`: the zoo
   registry guarantees one spec per name, and stage demands depend only on
   the spec and the platform.  Workload *order* is significant — the same
@@ -44,7 +38,11 @@ repeated experiment runs start warm instead of re-solving the same
 canonical keys.  The on-disk record carries a format version and a
 :func:`platform_fingerprint` of every parameter that influences a solve;
 loading refuses a cache built for a different platform (the rates would be
-silently wrong) or an unknown format version.
+silently wrong) or an unknown format version.  The solver is fixed within
+a process, so in-memory keys carry no solver tag; instead the file header
+stamps the solver that filled it (:func:`repro.sim.backend.active_solver`)
+and loading refuses a file stamped by the other one, so a cache never
+mixes answers from the C kernel and the numpy fallback.
 """
 
 from __future__ import annotations
@@ -58,15 +56,15 @@ from pathlib import Path
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
-from .backend import DEFAULT_BACKEND, normalize_backend
+from .backend import active_solver
 from .engine import SimResult, simulate_batch
 
 __all__ = ["EvaluationCache", "platform_fingerprint"]
 
 #: On-disk format version; bump when the payload layout changes.
-#: v2: the solver backend joined the entry key (v1 files, whose keys
-#: lack it, refuse to load rather than alias backends together).
-_CACHE_FORMAT_VERSION = 2
+#: v3: the header stamps the solver that filled the file and entry keys
+#: drop v2's solver prefix; v1/v2 files refuse to load.
+_CACHE_FORMAT_VERSION = 3
 
 
 def platform_fingerprint(platform: Platform) -> str:
@@ -95,24 +93,20 @@ class EvaluationCache:
     """LRU memo of :func:`simulate` results for one platform."""
 
     def __init__(self, platform: Platform,
-                 maxsize: int = _DEFAULT_MAXSIZE,
-                 backend: str = DEFAULT_BACKEND):
+                 maxsize: int = _DEFAULT_MAXSIZE):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.platform = platform
         self.maxsize = maxsize
-        self.backend = normalize_backend(backend)
         self.hits = 0
         self.misses = 0
         self._store: OrderedDict[tuple, SimResult] = OrderedDict()
 
     # ------------------------------------------------------------------
     @staticmethod
-    def key(workload: list[ModelSpec], mapping: Mapping,
-            backend: str = DEFAULT_BACKEND) -> tuple:
+    def key(workload: list[ModelSpec], mapping: Mapping) -> tuple:
         """Canonical cache key (see module docstring)."""
-        return (backend, tuple(m.name for m in workload),
-                mapping.assignments)
+        return (tuple(m.name for m in workload), mapping.assignments)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -139,7 +133,7 @@ class EvaluationCache:
         miss_mappings: list[Mapping] = []
         miss_slots: dict[tuple, list[int]] = {}
         for i, mapping in enumerate(mappings):
-            k = self.key(workload, mapping, self.backend)
+            k = self.key(workload, mapping)
             cached = self._store.get(k)
             if cached is not None:
                 self._store.move_to_end(k)
@@ -154,8 +148,7 @@ class EvaluationCache:
             miss_slots[k].append(i)
 
         if miss_mappings:
-            solved = simulate_batch(workload, miss_mappings, self.platform,
-                                    backend=self.backend)
+            solved = simulate_batch(workload, miss_mappings, self.platform)
             for k, result in zip(miss_keys, solved):
                 self._insert(k, result)
                 for i in miss_slots[k]:
@@ -186,6 +179,7 @@ class EvaluationCache:
             "version": _CACHE_FORMAT_VERSION,
             "fingerprint": platform_fingerprint(self.platform),
             "platform_name": self.platform.name,
+            "solver": active_solver(),
             "entries": list(self._store.items()),
         }
         # Unique temp name per writer: concurrent saves to one path must
@@ -199,18 +193,15 @@ class EvaluationCache:
 
     @classmethod
     def load(cls, path: str | Path, platform: Platform,
-             maxsize: int = _DEFAULT_MAXSIZE,
-             backend: str = DEFAULT_BACKEND) -> "EvaluationCache":
+             maxsize: int = _DEFAULT_MAXSIZE) -> "EvaluationCache":
         """Rebuild a cache from :meth:`save` output, bound to ``platform``.
 
-        Refuses (``ValueError``) a file whose format version is unknown or
+        Refuses (``ValueError``) a file whose format version is unknown,
         whose platform fingerprint does not match ``platform`` — entries
-        solved on one board model must never answer for another.  When the
+        solved on one board model must never answer for another — or
+        whose solver stamp differs from this process's solver.  When the
         file holds more than ``maxsize`` entries the most recently used
-        ones survive.  ``backend`` sets the rebuilt cache's solver backend
-        for future misses; loaded entries keep their own backend-tagged
-        keys, so entries solved on the other backend stay dormant rather
-        than answering for this one.
+        ones survive.
         """
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -226,7 +217,13 @@ class EvaluationCache:
                 f"{payload.get('platform_name')!r} (fingerprint "
                 f"{payload.get('fingerprint')!r}); refusing to load it for "
                 f"{platform.name!r} (fingerprint {fingerprint!r})")
-        cache = cls(platform, maxsize=maxsize, backend=backend)
+        solver = active_solver()
+        if payload.get("solver") != solver:
+            raise ValueError(
+                f"cache file {path} was filled by the "
+                f"{payload.get('solver')!r} solver; refusing to load it "
+                f"into a process that solves on {solver!r}")
+        cache = cls(platform, maxsize=maxsize)
         entries = payload["entries"]
         for key, result in entries[-maxsize:]:
             cache._store[key] = result

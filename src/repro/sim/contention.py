@@ -35,8 +35,9 @@ solver follows the *identical* float trajectory.  The scalar solver lives
 on as the test oracle (``tests/property/scalar_oracle.py``) and the
 regression harness in ``tests/property/test_batch_equivalence.py`` locks
 the agreement in.  Production code solves through
-:func:`repro.sim.backend.solve_steady_state_batch`, which dispatches to
-this path or to the compiled kernel.
+:func:`repro.sim.backend.solve_steady_state_batch`, which runs the
+compiled kernel and falls back to this path on hosts without a C
+compiler.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _empty_solution(num_dnns: int, platform: Platform) -> ContentionSolution:
 def solve_batch_numpy(demand_sets: list[list[StageDemand]],
                       num_dnns: int, platform: Platform,
                       max_iter: int = _MAX_ITER) -> list[ContentionSolution]:
-    """Solve B mappings' fixed points simultaneously on the numpy backend.
+    """Solve B mappings' fixed points simultaneously with numpy.
 
     All mappings must cover the same workload (``num_dnns`` DNNs on
     ``platform``); they may have different stage counts — shorter elements

@@ -187,8 +187,9 @@ def run_dynamic_scenario(events: list[ScenarioEvent], planner: Planner,
     for event in events:
         if event.time > horizon:
             break
+        # An event inside a decision gap takes effect when the gap closes.
         emit(clock, event.time)
-        clock = event.time
+        clock = max(clock, event.time)
 
         if event.kind == "arrival":
             if event.model is None:

@@ -15,7 +15,7 @@ import numpy as np
 from ..hw.platform import Platform
 from ..mapping.mapping import Mapping
 from ..zoo.layers import ModelSpec
-from .backend import DEFAULT_BACKEND, solve_steady_state_batch
+from .backend import solve_steady_state_batch
 from .contention import ContentionSolution
 from .demands import compute_stage_demands
 
@@ -49,30 +49,25 @@ class SimResult:
 
 
 def simulate(workload: list[ModelSpec], mapping: Mapping,
-             platform: Platform,
-             backend: str = DEFAULT_BACKEND) -> SimResult:
+             platform: Platform) -> SimResult:
     """Steady-state per-DNN throughput of ``mapping`` on ``platform``: a
     batch of one through :func:`simulate_batch`."""
-    return simulate_batch(workload, [mapping], platform, backend)[0]
+    return simulate_batch(workload, [mapping], platform)[0]
 
 
 def simulate_batch(workload: list[ModelSpec], mappings: list[Mapping],
-                   platform: Platform,
-                   backend: str = DEFAULT_BACKEND) -> list[SimResult]:
+                   platform: Platform) -> list[SimResult]:
     """Steady-state throughput of several mappings of the same workload.
 
     Solves all fixed points in one call (see
     :func:`repro.sim.backend.solve_steady_state_batch`), which is what
-    makes MCTS rollout batches and scenario sweeps cheap.  ``backend``
-    selects the solver implementation (``"compiled"`` or ``"numpy"``, see
-    :mod:`repro.sim.backend`).
+    makes MCTS rollout batches and scenario sweeps cheap.
     """
     if not mappings:
         return []
     demand_sets = [compute_stage_demands(workload, m, platform)
                    for m in mappings]
-    solutions = solve_steady_state_batch(demand_sets, len(workload), platform,
-                                         backend=backend)
+    solutions = solve_steady_state_batch(demand_sets, len(workload), platform)
     ideal = np.array([platform.ideal_throughput(m) for m in workload])
     names = tuple(m.name for m in workload)
     return [

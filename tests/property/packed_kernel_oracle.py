@@ -1,4 +1,4 @@
-"""Pure-python reference kernel of the compiled contention backend.
+"""Pure-python reference kernel of the compiled contention solver.
 
 :func:`solve_packed` is the damped fixed point of the scalar oracle
 (:func:`scalar_oracle.solve_steady_state`) written as plain loops over
@@ -11,7 +11,7 @@ chronologically, damping applies in the same multiply-then-add grouping),
 so the kernel's float trajectory is bit-compatible with the scalar oracle.
 
 It is the always-runnable anchor of
-``tests/property/test_backend_equivalence.py``: passed as ``impl`` to
+``tests/property/test_backend_equivalence.py``: passed as ``kernel`` to
 :func:`repro.sim.backend.solve_batch_compiled`, it pins the packing and
 the kernel's numerics bit for bit even on hosts where the C twin cannot
 be built.

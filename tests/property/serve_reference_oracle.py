@@ -1,5 +1,8 @@
 """Reference serving loop: the pre-streaming architecture, bugs fixed.
 
+Test oracle only: it lives beside the tests and is not part of the
+``repro`` package.
+
 :func:`serve_trace_reference` is the O(n²)-ish seed implementation of the
 serving loop kept as an executable oracle: a fully materialised waiting
 room that is re-sorted on every drain admission, per-resident python
@@ -25,17 +28,17 @@ import heapq
 
 import numpy as np
 
-from ..hw.platform import Platform
-from ..sim.cache import EvaluationCache
-from ..sim.dynamic import Segment, Timeline, restrict_mapping
-from ..workloads.traces import SessionRequest
-from ..zoo.layers import ModelSpec
-from ..zoo.registry import get_model
-from .admission import ADMIT, PREEMPT, QUEUE, AdmissionController
-from .loop import ServeConfig, _manager_name
-from .preempt import EVICT, LiveView
-from .replan import ReplanPolicy
-from .report import (
+from repro.hw.platform import Platform
+from repro.sim.cache import EvaluationCache
+from repro.sim.dynamic import Segment, Timeline, restrict_mapping
+from repro.workloads.traces import SessionRequest
+from repro.zoo.layers import ModelSpec
+from repro.zoo.registry import get_model
+from repro.serve.admission import ADMIT, PREEMPT, QUEUE, AdmissionController
+from repro.serve.loop import ServeConfig, _manager_name
+from repro.serve.preempt import EVICT, LiveView
+from repro.serve.replan import ReplanPolicy
+from repro.serve.report import (
     ABANDONED,
     EVICTED,
     OUT_OF_HORIZON,

@@ -1,18 +1,18 @@
 """Differential fuzz: the compiled solver kernel vs the scalar oracle.
 
-Three layers of defence against silent drift in the compiled backend:
+Three layers of defence against silent drift in the compiled kernel:
 
 * The **pure-python reference kernel** (`packed_kernel_oracle.solve_packed`,
   the line-for-line twin of the C kernel) is differential-tested
   bit-for-bit against the scalar oracle on every host — no compiled
   provider required, so the kernel's numerics can never go untested.
 * The **resolved native provider** (the cc-built C twin) is
-  held to the documented compiled-backend contract — rel <= 1e-12 on
+  held to the documented compiled-kernel contract — rel <= 1e-12 on
   rates and utilisation, identical convergence flags, identical
   iteration counts on non-limit-cycle instances — and skip-marks, never
   silently passes on the numpy fallback, when no provider exists.
-* The **fallback path itself** is pinned: with no provider the compiled
-  backend must answer with numpy's exact results after a one-time
+* The **fallback path itself** is pinned: with no provider the solve
+  entry point must answer with numpy's exact results after a one-time
   RuntimeWarning.
 
 Randomized demand sets cover the edges the packer and kernel must get
@@ -37,7 +37,7 @@ from repro.sim import (
     solve_steady_state_batch,
 )
 from repro.sim import backend as backend_mod
-from repro.sim.contention import _CYCLE_BURN_IN
+from repro.sim.contention import _CYCLE_BURN_IN, solve_batch_numpy
 from repro.zoo import get_model
 
 from packed_kernel_oracle import solve_packed
@@ -81,7 +81,7 @@ def _assert_bit_identical(scalar, got):
 
 
 def _assert_within_contract(scalar, got):
-    """The documented compiled-backend tolerance contract."""
+    """The documented compiled-kernel tolerance contract."""
     if scalar.iterations < _CYCLE_BURN_IN:
         assert scalar.iterations == got.iterations
     assert scalar.converged == got.converged
@@ -103,7 +103,7 @@ class TestReferenceKernel:
         workload, sets = _demand_batch(SMALL_POOL, num_models, seed,
                                        batch_size, platform)
         got = solve_batch_compiled(sets, len(workload), platform,
-                                   impl=solve_packed)
+                                   kernel=solve_packed)
         for demands, sol in zip(sets, got):
             _assert_bit_identical(
                 solve_steady_state(demands, len(workload), platform), sol)
@@ -114,7 +114,7 @@ class TestReferenceKernel:
         platform = PLATFORMS["orange_pi_5"]
         workload, sets = _demand_batch(SMALL_POOL, 3, seed, 3, platform)
         got = solve_batch_compiled(sets, len(workload), platform,
-                                   max_iter=max_iter, impl=solve_packed)
+                                   max_iter=max_iter, kernel=solve_packed)
         for demands, sol in zip(sets, got):
             _assert_bit_identical(
                 solve_steady_state(demands, len(workload), platform,
@@ -128,7 +128,7 @@ class TestReferenceKernel:
         # The mix must actually exercise the cycle-resolution path.
         assert any(s.iterations >= _CYCLE_BURN_IN for s in scalars)
         got = solve_batch_compiled(sets, len(workload), platform,
-                                   impl=solve_packed)
+                                   kernel=solve_packed)
         for scalar, sol in zip(scalars, got):
             _assert_bit_identical(scalar, sol)
 
@@ -136,7 +136,7 @@ class TestReferenceKernel:
         platform = PLATFORMS["orange_pi_5"]
         workload, sets = _demand_batch(SMALL_POOL, 2, 1, 1, platform)
         got = solve_batch_compiled([[], sets[0], []], len(workload),
-                                   platform, impl=solve_packed)
+                                   platform, kernel=solve_packed)
         for sol in (got[0], got[2]):
             assert sol.converged and sol.iterations == 0
             assert sol.stage_allocations.size == 0
@@ -152,7 +152,7 @@ class TestReferenceKernel:
                                    seconds_per_inference=0.0,
                                    num_kernels=1)
         with pytest.raises(ValueError, match="must be positive"):
-            solve_batch_compiled([[bad]], 2, platform, impl=solve_packed)
+            solve_batch_compiled([[bad]], 2, platform, kernel=solve_packed)
 
 
 @needs_provider
@@ -198,12 +198,11 @@ class TestNativeProvider:
             _assert_within_contract(scalar, sol)
 
     def test_backend_thread_through_batch_entry_point(self):
-        """`backend="compiled"` on the public entry point resolves to the
-        same provider results as calling the compiled layer directly."""
+        """With a provider, the public entry point resolves to the same
+        results as calling the compiled layer directly."""
         platform = PLATFORMS["orange_pi_5"]
         workload, sets = _demand_batch(SMALL_POOL, 2, 3, 4, platform)
-        via_entry = solve_steady_state_batch(sets, len(workload), platform,
-                                             backend="compiled")
+        via_entry = solve_steady_state_batch(sets, len(workload), platform)
         direct = solve_batch_compiled(sets, len(workload), platform)
         for a, b in zip(via_entry, direct):
             np.testing.assert_array_equal(a.rates, b.rates)
@@ -211,27 +210,21 @@ class TestNativeProvider:
 
 
 class TestFallback:
-    """With no native provider the compiled backend degrades loudly."""
+    """With no native provider the entry point degrades loudly."""
 
     def test_fallback_warns_once_and_matches_numpy(self, monkeypatch):
         platform = PLATFORMS["orange_pi_5"]
         workload, sets = _demand_batch(SMALL_POOL, 2, 5, 3, platform)
-        monkeypatch.setattr(backend_mod, "_provider", None)
-        monkeypatch.setattr(backend_mod, "_provider_probed", True)
+        monkeypatch.setattr(backend_mod, "compiled_provider", lambda: None)
         monkeypatch.setattr(backend_mod, "_fallback_warned", False)
         with pytest.warns(RuntimeWarning, match="falling back to the "
-                                                "numpy backend"):
-            got = solve_batch_compiled(sets, len(workload), platform)
-        want = solve_steady_state_batch(sets, len(workload), platform)
+                                                "numpy solver"):
+            got = solve_steady_state_batch(sets, len(workload), platform)
+        want = solve_batch_numpy(sets, len(workload), platform)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.rates, b.rates)
             assert a.iterations == b.iterations
         # Second call: warning already issued, must stay quiet.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solve_batch_compiled(sets, len(workload), platform)
-
-    def test_unknown_impl_rejected(self):
-        platform = PLATFORMS["orange_pi_5"]
-        with pytest.raises(ValueError, match="implementation"):
-            solve_batch_compiled([[]], 1, platform, impl="cython")
+            solve_steady_state_batch(sets, len(workload), platform)

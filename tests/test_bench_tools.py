@@ -1,4 +1,5 @@
-"""Unit tests for the bench-history tooling (benchmarks/record_bench.py).
+"""Unit tests for the bench-history tooling (benchmarks/record_bench.py)
+and the ``make perf`` entry point.
 
 The recorder is a script, not a package module, so it is loaded by file
 path; only the pure pieces (regression flagging, history tailing) are
@@ -7,7 +8,11 @@ tested — the measurement run itself is exercised by ``make bench``.
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -131,17 +136,17 @@ class TestGitSha:
         assert len(flags) == 1 and "cap_on" in flags[0]
 
     def test_solver_backend_benches_guarded(self):
-        """The per-backend solve-batch sweep is a guarded hot path: a
-        silent slowdown of the compiled rows would erase the backend's
-        whole reason to exist."""
+        """The solve-batch sweep and its numpy-fallback row are a guarded
+        hot path: a silent slowdown of the production rows would erase
+        the compiled kernel's whole reason to exist."""
         rb = _load_record_bench()
         assert "test_bench_simulator_solve_batch[" in rb.GUARDED_PREFIXES
         flags = rb.flag_regressions(
-            {"test_bench_simulator_solve_batch[16]": row(0.010),
-             "test_bench_simulator_solve_batch[compiled-16]": row(0.001)},
-            {"test_bench_simulator_solve_batch[16]": row(0.010),
-             "test_bench_simulator_solve_batch[compiled-16]": row(0.002)})
-        assert len(flags) == 1 and "compiled-16" in flags[0]
+            {"test_bench_simulator_solve_batch[numpy-16]": row(0.010),
+             "test_bench_simulator_solve_batch[16]": row(0.001)},
+            {"test_bench_simulator_solve_batch[numpy-16]": row(0.010),
+             "test_bench_simulator_solve_batch[16]": row(0.002)})
+        assert len(flags) == 1 and "batch[16]" in flags[0]
 
 
 class TestLastHistoryEntry:
@@ -170,3 +175,14 @@ class TestLastHistoryEntry:
         # Self-comparison is the identity: nothing flags.
         assert rb.flag_regressions(entry["benchmarks"],
                                    entry["benchmarks"]) == []
+
+
+@pytest.mark.skipif(shutil.which("make") is None, reason="no make on PATH")
+def test_make_perf_runs_one_untraced_benchmark():
+    """``make perf W=... SEED=...`` is one 30 s untraced run of
+    ``perfbench/run.py`` (printed with ``-n``, not executed)."""
+    out = subprocess.run(
+        ["make", "-n", "-s", "perf", "W=fleet_power", "SEED=3"],
+        cwd=REPO_ROOT, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == ("python3 perfbench/run.py --workload fleet_power "
+                           "--seed 3 --seconds 30 --trace 0")

@@ -26,7 +26,6 @@ API_MODULES = (
     "repro.serve",
     "repro.serve.admission",
     "repro.serve.loop",
-    "repro.serve.reference",
     "repro.serve.preempt",
     "repro.serve.replan",
     "repro.serve.report",

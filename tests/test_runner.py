@@ -1,12 +1,14 @@
 """Tests for the fleet-scale scenario runner (specs, pool, determinism)."""
 
+import dataclasses
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.sim import DEFAULT_BACKEND, compiled_provider
+from repro.sim import active_solver, compiled_provider
+from repro.sim import backend as backend_mod
 
 from repro.runner import (
     MANAGER_SPECS,
@@ -539,97 +541,130 @@ class TestStrictScenarioDicts:
             Scenario.from_dict(["not", "a", "dict"])
 
 
-_BACKEND_PARAMS = [
+def _force_fallback(monkeypatch):
+    """Solve as on a host without a C compiler (forked pool workers
+    inherit the patch)."""
+    monkeypatch.setattr(backend_mod, "compiled_provider", lambda: None)
+    monkeypatch.setattr(backend_mod, "_fallback_warned", True)
+
+
+@pytest.fixture(params=[
     "numpy",
     pytest.param("compiled", marks=pytest.mark.skipif(
         compiled_provider() is None,
         reason="no compiled provider available on this host")),
-]
+])
+def solver(request, monkeypatch):
+    """Run the test on the numpy fallback, then on the compiled kernel."""
+    if request.param == "numpy":
+        _force_fallback(monkeypatch)
+    assert active_solver() == request.param
+    return request.param
 
 
 class TestBackendPlumbing:
-    """Satellite: the solver-backend switch threads spec -> cache -> worker
-    without aliasing backends together anywhere along the way."""
-
-    def test_dynamic_from_dict_roundtrip_with_backend(self):
-        d = DynamicScenario.from_dict({"name": "d", "backend": "compiled"})
-        assert d.backend == "compiled"
-        assert DynamicScenario.from_dict({"name": "d"}).backend \
-            == DEFAULT_BACKEND
+    """The host picks the solver: no spec or sweep can name one, the
+    persisted cache records it, and both solvers give the same reports."""
 
     @staticmethod
     def _forbid(monkeypatch, targets):
         def forbidden(*args, **kwargs):
-            raise AssertionError("solved on the wrong backend")
+            raise AssertionError("solved on the wrong solver")
         for module, name in targets:
             monkeypatch.setattr(module, name, forbidden)
 
     @pytest.mark.skipif(compiled_provider() is None,
                         reason="no compiled provider available")
     def test_compiled_scenario_never_solves_on_numpy(self, monkeypatch):
-        """Planning *and* the final measurement honour the scenario's
-        backend: with every numpy solve patched to raise (the batch solver
-        and the per-component accumulation every numpy fixed point runs
-        on), a compiled scenario still completes."""
+        """Planning *and* the final measurement run on the compiled
+        kernel when it loads: with every numpy solve patched to raise (the
+        batch solver and the per-component accumulation every numpy fixed
+        point runs on), a scenario still completes."""
         from repro.sim import contention
 
         self._forbid(monkeypatch, [(contention, "solve_batch_numpy"),
                                    (contention, "_segment_sum")])
         spec = Scenario(name="c", workload=("alexnet", "squeezenet"),
-                        backend="compiled", **FAST)
+                        **FAST)
         result = execute_scenario(spec)
         assert len(result.rates) == 2 and min(result.rates) > 0
 
     def test_numpy_scenario_never_solves_compiled(self, monkeypatch):
+        """Without a provider no solve reaches the packed C path."""
         from repro.sim import _cext
-        from repro.sim import backend as backend_mod
 
+        _force_fallback(monkeypatch)
         self._forbid(monkeypatch, [(backend_mod, "solve_batch_compiled"),
                                    (_cext, "solve_packed_c")])
         spec = Scenario(name="n", workload=("alexnet", "squeezenet"),
-                        backend="numpy", **FAST)
+                        **FAST)
         result = execute_scenario(spec)
         assert len(result.rates) == 2 and min(result.rates) > 0
 
+    def test_dynamic_from_dict_roundtrip_with_backend(self, monkeypatch):
+        """A spec round-trips through its dict without a ``backend`` key;
+        the read-only ``backend`` property names the solver the process
+        actually runs, and cannot be set."""
+        spec = DynamicScenario(name="d", **DYNAMIC_FAST)
+        fields = dataclasses.asdict(spec)
+        assert "backend" not in fields
+        again = DynamicScenario.from_dict(fields)
+        assert again == spec
+        assert again.backend == spec.backend == active_solver()
+        _force_fallback(monkeypatch)
+        assert again.backend == "numpy"
+        with pytest.raises(AttributeError):
+            again.backend = "compiled"
+
     def test_scenario_from_dict_roundtrip_with_backend(self):
-        s = Scenario.from_dict({"name": "s", "workload": ["alexnet"],
-                                "backend": "compiled"})
-        assert s.backend == "compiled"
+        s = Scenario.from_dict({"name": "s", "workload": ["alexnet"]})
+        assert "backend" not in dataclasses.asdict(s)
+        assert not hasattr(s, "backend")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            DynamicScenario(name="x", backend="fortran", **DYNAMIC_FAST)
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            Scenario.from_dict({"name": "s", "workload": ["alexnet"],
-                                "backend": "fortran"})
+        """``backend`` is not a spec field: strict parsing rejects it on
+        every spec kind, and the constructors do not accept it."""
+        for cls, spec in ((DynamicScenario, {"name": "d"}),
+                          (Scenario, {"name": "s", "workload": ["alexnet"]})):
+            with pytest.raises(ValueError,
+                               match=f"unexpected {cls.__name__} field"):
+                cls.from_dict({**spec, "backend": "numpy"})
+        with pytest.raises(TypeError):
+            DynamicScenario(name="x", backend="numpy", **DYNAMIC_FAST)
+        with pytest.raises(TypeError):
+            Scenario(name="s", workload=("alexnet",), backend="numpy")
 
     def test_fleet_spec_has_no_backend_field(self):
-        """Backends belong to nodes (which solve fixed points), never the
-        fleet spec — a fleet-level key must be rejected, not absorbed."""
+        """Neither the fleet spec nor its node specs take a solver."""
         with pytest.raises(ValueError, match="unexpected FleetScenario"):
             FleetScenario.from_dict({
                 "name": "f", "nodes": [{"name": "n0"}],
                 "backend": "compiled"})
-        fleet = FleetScenario.from_dict({
-            "name": "f",
-            "nodes": [{"name": "n0", "backend": "compiled"}]})
-        assert fleet.nodes[0].backend == "compiled"
+        with pytest.raises(ValueError,
+                           match="unexpected DynamicScenario field"):
+            FleetScenario.from_dict({
+                "name": "f",
+                "nodes": [{"name": "n0", "backend": "compiled"}]})
 
     def test_sweep_builders_apply_backend(self):
+        """Sweep builders take no solver: every built node reports the
+        one this process runs."""
+        with pytest.raises(TypeError):
+            dynamic_sweep_scenarios(traces_per_cell=1, backend="numpy")
+        with pytest.raises(TypeError):
+            fleet_sweep_scenarios(traces_per_cell=1, backend="numpy")
         dyn = dynamic_sweep_scenarios(policies=("full",),
                                       managers=("baseline",),
-                                      traces_per_cell=1,
-                                      backend="compiled")
-        assert all(s.backend == "compiled" for s in dyn)
+                                      traces_per_cell=1)
         fleets = fleet_sweep_scenarios(routings=("round_robin",),
-                                       traces_per_cell=1, num_nodes=2,
-                                       backend="compiled")
-        assert all(n.backend == "compiled"
-                   for f in fleets for n in f.nodes)
+                                       traces_per_cell=1, num_nodes=2)
+        nodes = list(dyn) + [n for f in fleets for n in f.nodes]
+        assert all(n.backend == active_solver() for n in nodes)
 
-    def test_cache_isolates_backends(self, tmp_path):
-        """A numpy-keyed entry must never answer a compiled request (and
-        vice versa), in memory and through save/load."""
+    @staticmethod
+    def _saved_cache(tmp_path, **header):
+        """A one-entry cache file, its header fields overwritten by
+        ``header``; the file loads only while ``header`` is empty."""
         from repro.hw import orange_pi_5
         from repro.mapping import uniform_block_mapping
         from repro.sim import EvaluationCache
@@ -639,48 +674,66 @@ class TestBackendPlumbing:
         workload = [get_model("alexnet"), get_model("mobilenet")]
         mapping = uniform_block_mapping(workload, platform.num_components,
                                         np.random.default_rng(0))
-        numpy_cache = EvaluationCache(platform, backend="numpy")
-        numpy_cache.simulate_one(workload, mapping)
-        assert numpy_cache.misses == 1
-
+        cache = EvaluationCache(platform)
+        cache.simulate_one(workload, mapping)
         path = tmp_path / "cache.pkl"
-        numpy_cache.save(path)
-        compiled_cache = EvaluationCache.load(path, platform,
-                                              backend="compiled")
-        assert compiled_cache.backend == "compiled"
-        compiled_cache.simulate_one(workload, mapping)
-        assert compiled_cache.misses == 1      # loaded entry stayed dormant
-        compiled_cache.simulate_one(workload, mapping)
-        assert compiled_cache.hits == 1        # its own entry does serve
+        cache.save(path)
+        assert len(EvaluationCache.load(path, platform)) == 1
+        payload = pickle.loads(path.read_bytes())
+        assert payload["solver"] == active_solver()
+        payload.update(header)
+        path.write_bytes(pickle.dumps(payload))
+        if header:
+            with pytest.raises(ValueError):
+                EvaluationCache.load(path, platform)
+        return path
 
-        reloaded = EvaluationCache.load(path, platform, backend="numpy")
-        reloaded.simulate_one(workload, mapping)
-        assert reloaded.hits == 1 and reloaded.misses == 0
+    @staticmethod
+    def _assert_starts_cold(path):
+        """The runner refuses the file, warns, and counts a downgrade."""
+        from repro.obs.registry import EVAL_CACHE_DOWNGRADES
 
-    @pytest.mark.parametrize("backend", _BACKEND_PARAMS)
-    def test_parallel_equals_serial_per_backend(self, backend):
-        """1-vs-2-worker reports stay bit-identical on either backend."""
+        spec = DynamicScenario(name="refused", cache_path=str(path),
+                               observe=True, **DYNAMIC_FAST)
+        with pytest.warns(UserWarning, match="starting cold"):
+            result = execute_dynamic_scenario(spec)
+        assert result.eval_cache_preloaded == 0
+        assert result.telemetry.counter_total(EVAL_CACHE_DOWNGRADES) == 1
+
+    def test_cache_isolates_backends(self, tmp_path):
+        """A cache file filled by one solver never answers for the other:
+        loading refuses it, and the runner then starts cold with a warning
+        and a downgrade count."""
+        other = "compiled" if active_solver() == "numpy" else "numpy"
+        self._assert_starts_cold(self._saved_cache(tmp_path, solver=other))
+
+    def test_v2_cache_file_starts_cold(self, tmp_path):
+        """v2 files (backend-prefixed keys, no solver stamp) are refused
+        the same way."""
+        self._assert_starts_cold(self._saved_cache(tmp_path, version=2))
+
+    def test_parallel_equals_serial_per_backend(self, solver):
+        """1-vs-2-worker reports stay bit-identical on either solver."""
         specs = dynamic_sweep_scenarios(
             policies=("full",), managers=("rankmap_d",),
             traces_per_cell=1, horizon_s=240.0,
             arrival_rate_per_s=1 / 30, pool=SMALL_POOL, capacity=2,
-            search_iterations=6, backend=backend)
+            search_iterations=6)
         serial = ScenarioRunner(max_workers=1).run_dynamic(specs)
         parallel = ScenarioRunner(max_workers=2).run_dynamic(specs)
         assert [r.report for r in serial] == [r.report for r in parallel]
 
     @pytest.mark.skipif(compiled_provider() is None,
                         reason="no compiled provider available")
-    def test_reports_agree_across_backends(self):
-        """End-to-end ServeReports on the two backends agree within the
-        documented tolerance on a randomized trace."""
-        results = {}
-        for backend in ("numpy", "compiled"):
-            spec = DynamicScenario(name="xb", manager="rankmap_d",
-                                   policy="full", backend=backend,
-                                   **DYNAMIC_FAST)
-            results[backend] = execute_dynamic_scenario(spec).report
-        a, b = results["numpy"], results["compiled"]
+    def test_reports_agree_across_backends(self, monkeypatch):
+        """End-to-end ServeReports on the compiled kernel and the numpy
+        fallback agree within the documented tolerance on a randomized
+        trace."""
+        spec = DynamicScenario(name="xb", manager="rankmap_d",
+                               policy="full", **DYNAMIC_FAST)
+        b = execute_dynamic_scenario(spec).report
+        _force_fallback(monkeypatch)
+        a = execute_dynamic_scenario(spec).report
         assert (a.arrivals, a.admitted, a.rejected, a.replans) \
             == (b.arrivals, b.admitted, b.rejected, b.replans)
         assert a.sla_violation_fraction \
@@ -692,21 +745,23 @@ class TestBackendPlumbing:
 
     @pytest.mark.skipif(compiled_provider() is None,
                         reason="no compiled provider available")
-    def test_fleet_reports_agree_across_backends(self):
-        """FleetReports with all nodes on the compiled backend agree with
-        the all-numpy fleet within tolerance, 1-vs-2-worker each."""
+    def test_fleet_reports_agree_across_backends(self, monkeypatch):
+        """FleetReports with every node on the compiled kernel agree with
+        the all-fallback fleet within tolerance, 1-vs-2-worker each."""
+        specs = fleet_sweep_scenarios(
+            routings=("round_robin",), traces_per_cell=1, num_nodes=2,
+            manager="baseline", policy="full", horizon_s=240.0,
+            arrival_rate_per_s=1 / 20, pool=SMALL_POOL, capacity=2,
+            search_iterations=6)
         reports = {}
-        for backend in ("numpy", "compiled"):
-            specs = fleet_sweep_scenarios(
-                routings=("round_robin",), traces_per_cell=1, num_nodes=2,
-                manager="baseline", policy="full", horizon_s=240.0,
-                arrival_rate_per_s=1 / 20, pool=SMALL_POOL, capacity=2,
-                search_iterations=6, backend=backend)
+        for solver in ("compiled", "numpy"):
+            if solver == "numpy":
+                _force_fallback(monkeypatch)
             serial = ScenarioRunner(max_workers=1).run_fleet(specs)
             parallel = ScenarioRunner(max_workers=2).run_fleet(specs)
             assert [r.report for r in serial] \
                 == [r.report for r in parallel]
-            reports[backend] = serial[0].report
+            reports[solver] = serial[0].report
         a, b = reports["numpy"], reports["compiled"]
         assert (a.arrivals, a.admitted, a.rejected, a.lost) \
             == (b.arrivals, b.admitted, b.rejected, b.lost)

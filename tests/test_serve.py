@@ -1,5 +1,8 @@
 """Tests for the online serving subsystem (admission, replan, loop)."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,10 @@ from repro.serve import (
 from repro.sim import EvaluationCache, simulate
 from repro.workloads import SessionRequest, TraceConfig, sample_session_requests
 from repro.zoo import get_model
+
+# The pre-streaming loop is a test oracle kept beside the property suite.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "property"))
+from serve_reference_oracle import serve_trace_reference  # noqa: E402
 
 PLATFORM = orange_pi_5()
 POOL = ("alexnet", "squeezenet", "mobilenet_v2", "shufflenet")
@@ -664,7 +671,6 @@ class TestStreamingLoop:
         assert from_list == from_stream
 
     def test_streaming_matches_reference_loop(self):
-        from repro.serve import serve_trace_reference
 
         requests = self._sampled(seed=21)
         config = serve_config(capacity=2, queue_limit=4, max_wait=60.0,
@@ -806,7 +812,6 @@ class TestKeyedWaitingRoom:
         assert all(s.outcome == "served" for s in report.sessions)
 
     def test_drain_order_matches_reference_resort(self):
-        from repro.serve import serve_trace_reference
 
         requests = [request(0, 0.0, 100.0, tier="gold"),
                     request(4, 5.0, 30.0, tier="silver"),

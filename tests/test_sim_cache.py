@@ -9,7 +9,7 @@ from repro.hw import orange_pi_5
 from repro.mapping import Mapping, gpu_only_mapping, uniform_block_mapping
 from repro.search import MCTSConfig
 from repro.search.mcts import MCTS
-from repro.sim import DEFAULT_BACKEND, EvaluationCache, simulate
+from repro.sim import EvaluationCache, active_solver, simulate
 from repro.zoo import get_model
 
 PLATFORM = orange_pi_5()
@@ -86,28 +86,24 @@ class TestEvaluationCache:
         with pytest.raises(ValueError):
             EvaluationCache(PLATFORM, maxsize=0)
 
-    def test_backend_validated_and_in_key(self):
-        """The solver backend is part of the canonical key, so entries
-        solved on one backend can never answer for the other."""
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            EvaluationCache(PLATFORM, backend="fortran")
-        workload = wl("alexnet", "mobilenet")
-        mapping = gpu_only_mapping(workload)
-        default_key = EvaluationCache.key(workload, mapping)
-        assert default_key == EvaluationCache.key(workload, mapping,
-                                                  DEFAULT_BACKEND)
-        assert EvaluationCache.key(workload, mapping, "numpy") \
-            != EvaluationCache.key(workload, mapping, "compiled")
+    def test_backend_instances_do_not_share_entries(self, tmp_path):
+        """Keys carry no solver tag, so entries filled by the other solver
+        must never enter this process: its cache file refuses to load."""
+        import pickle
 
-    def test_backend_instances_do_not_share_entries(self):
         workload = wl("alexnet", "mobilenet")
         mapping = gpu_only_mapping(workload)
-        cache = EvaluationCache(PLATFORM, backend="numpy")
+        cache = EvaluationCache(PLATFORM)
         cache.simulate_one(workload, mapping)
-        assert EvaluationCache.key(workload, mapping, "numpy") \
-            in cache._store
-        assert EvaluationCache.key(workload, mapping, "compiled") \
-            not in cache._store
+        assert list(cache._store) == [EvaluationCache.key(workload, mapping)]
+        path = tmp_path / "cache.pkl"
+        cache.save(path)
+        payload = pickle.loads(path.read_bytes())
+        payload["solver"] = ("compiled" if active_solver() == "numpy"
+                             else "numpy")
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ValueError, match="solver"):
+            EvaluationCache.load(path, PLATFORM)
 
     def test_clear(self):
         workload = wl("alexnet",)
@@ -161,21 +157,41 @@ class TestCachePersistence:
         with pytest.raises(ValueError, match="format version"):
             EvaluationCache.load(path, PLATFORM)
 
-    def test_load_refuses_pre_backend_v1_files(self, tmp_path):
-        """v1 caches predate backend-tagged keys; loading one would alias
-        numpy and compiled entries together, so it must refuse (the
-        runner then downgrades to a cold start)."""
+    def _rewritten(self, tmp_path, **header):
+        """A saved cache file with ``header`` fields overwritten."""
         import pickle
 
-        workload = wl("alexnet",)
-        cache = self._primed_cache(workload)
+        cache = self._primed_cache(wl("alexnet",))
         path = tmp_path / "cache.pkl"
         cache.save(path)
         payload = pickle.loads(path.read_bytes())
-        payload["version"] = 1
+        payload.update(header)
         path.write_bytes(pickle.dumps(payload))
+        return path
+
+    def test_load_refuses_pre_backend_v1_files(self, tmp_path):
+        """v1 caches predate solver isolation; loading one could mix
+        answers from the two solvers, so it must refuse (the runner then
+        downgrades to a cold start)."""
+        path = self._rewritten(tmp_path, version=1)
         with pytest.raises(ValueError, match="format version"):
             EvaluationCache.load(path, PLATFORM)
+
+    def test_load_refuses_v2_backend_keyed_files(self, tmp_path):
+        """v2 files carry ``(backend, ...)``-prefixed keys and no solver
+        stamp; they must refuse rather than sit dormant."""
+        path = self._rewritten(tmp_path, version=2)
+        with pytest.raises(ValueError, match="format version"):
+            EvaluationCache.load(path, PLATFORM)
+
+    def test_file_is_stamped_with_the_running_solver(self, tmp_path):
+        import pickle
+
+        path = self._rewritten(tmp_path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == 3
+        assert payload["solver"] == active_solver()
+        assert all(len(key) == 2 for key, _ in payload["entries"])
 
     def test_load_respects_maxsize(self, tmp_path):
         workload = wl("alexnet", "mobilenet")

@@ -7,6 +7,7 @@ build directory, a ``PATH`` without any C compiler, or a plain import.
 
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -23,12 +24,14 @@ COMPILERS = ("cc", "gcc", "clang")
 HAS_COMPILER = any(shutil.which(name) for name in COMPILERS)
 
 
-def _run(code: str, tmp_path: Path, **env_overrides) -> dict:
-    """Run ``code`` in a fresh interpreter; it prints one JSON line."""
+def _run(code: str, tmp_path: Path, *argv, **env_overrides) -> dict:
+    """Run ``code`` with ``argv`` in a fresh interpreter; it prints one
+    JSON line."""
     env = dict(os.environ, PYTHONPATH=str(SRC),
                REPRO_CEXT_BUILD_DIR=str(tmp_path / "build"))
     env.update(env_overrides)
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code),
+                           *map(str, argv)],
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -59,40 +62,54 @@ def test_compiler_on_path_resolves_cext(tmp_path):
     assert out == {"provider": "cext"}
 
 
+_DEFAULT_REPORT = """
+    import json, pickle, sys, warnings
+    from repro.runner import DynamicScenario, execute_dynamic_scenario
+    from repro.sim import compiled_provider
+
+    spec = DynamicScenario(name="x", manager="rankmap_d", horizon_s=240.0,
+                           arrival_rate_per_s=1 / 30, capacity=2,
+                           pool=("alexnet", "squeezenet", "mobilenet_v2"),
+                           search_iterations=6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = execute_dynamic_scenario(spec).report
+    with open(sys.argv[1], "wb") as fh:
+        pickle.dump(report, fh)
+    print(json.dumps({
+        "provider": compiled_provider(),
+        "backend": spec.backend,
+        "runtime_warnings": [str(w.message) for w in caught
+                             if issubclass(w.category, RuntimeWarning)],
+        "replans": report.replans}))
+    """
+
+
 def test_no_compiler_falls_back_once_with_identical_reports(tmp_path):
     """Without ``cc``/``gcc``/``clang`` on ``PATH`` (and no cached
-    library) the default backend warns exactly once and serves the same
-    report the numpy backend does."""
+    library) the process warns exactly once, reports the numpy solver,
+    and serves the default ``DynamicScenario`` report ``==`` the one a
+    process with the host's compiler serves."""
     empty_bin = tmp_path / "bin"
     empty_bin.mkdir()
-    out = _run("""
-        import json, warnings
-        from repro.runner import DynamicScenario, execute_dynamic_scenario
-        from repro.sim import compiled_provider
+    fallback = _run(_DEFAULT_REPORT, tmp_path, tmp_path / "fallback.pkl",
+                    PATH=str(empty_bin))
+    assert fallback["provider"] is None
+    assert fallback["backend"] == "numpy"
+    assert len(fallback["runtime_warnings"]) == 1
+    assert "falling back to the numpy solver" \
+        in fallback["runtime_warnings"][0]
+    assert fallback["replans"] > 0
 
-        spec = dict(name="x", manager="rankmap_d", horizon_s=240.0,
-                    arrival_rate_per_s=1 / 30, capacity=2,
-                    pool=("alexnet", "squeezenet", "mobilenet_v2"),
-                    search_iterations=6)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            default = execute_dynamic_scenario(DynamicScenario(**spec))
-            numpy = execute_dynamic_scenario(
-                DynamicScenario(backend="numpy", **spec))
-        print(json.dumps({
-            "provider": compiled_provider(),
-            "backend": DynamicScenario(name="d").backend,
-            "runtime_warnings": [str(w.message) for w in caught
-                                 if issubclass(w.category, RuntimeWarning)],
-            "replans": default.report.replans,
-            "equal": default.report == numpy.report}))
-        """, tmp_path, PATH=str(empty_bin))
-    assert out["provider"] is None
-    assert out["backend"] == "compiled"
-    assert len(out["runtime_warnings"]) == 1
-    assert "falling back to the numpy backend" in out["runtime_warnings"][0]
-    assert out["replans"] > 0
-    assert out["equal"] is True
+    native = _run(_DEFAULT_REPORT, tmp_path, tmp_path / "native.pkl")
+    if HAS_COMPILER:
+        assert native["provider"] == "cext"
+        assert native["backend"] == "compiled"
+        assert native["runtime_warnings"] == []
+    with open(tmp_path / "fallback.pkl", "rb") as fh:
+        fallback_report = pickle.load(fh)
+    with open(tmp_path / "native.pkl", "rb") as fh:
+        assert pickle.load(fh) == fallback_report
 
 
 def test_import_and_scenario_construction_never_compile(tmp_path):

@@ -168,6 +168,22 @@ class TestScenarioEdgeCases:
         assert tl.segments[-1].t_end == pytest.approx(100.0)
         assert all("vgg16" not in seg.names for seg in tl.segments)
 
+    def test_event_inside_decision_gap_waits_for_the_gap(self):
+        """An arrival that lands inside a decision gap takes effect when
+        the gap closes: segments tile the horizon without overlap."""
+        tl = run_dynamic_scenario(
+            [arrival(0.0, get_model("resnet50")),
+             arrival(2.0, get_model("vgg16"))],
+            gpu_planner(decision_seconds=5.0), PLATFORM, horizon=20.0,
+        )
+        assert tl.segments[0].t_start == 0.0
+        for prev, nxt in zip(tl.segments, tl.segments[1:]):
+            assert prev.t_end == nxt.t_start
+        assert all(seg.duration > 0 for seg in tl.segments)
+        assert sum(seg.duration for seg in tl.segments) \
+            == pytest.approx(20.0)
+        assert tl.segments[-1].t_end == 20.0
+
 
 class TestTimelineQueries:
     def _timeline(self):
