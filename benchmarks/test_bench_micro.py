@@ -147,7 +147,7 @@ def test_bench_estimator_forward(benchmark):
     benchmark(lambda: model.predict_log_rates(q))
 
 
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
+@pytest.mark.parametrize("mode", ["scalar", "batch", "roster2"])
 def test_bench_estimator_predict(benchmark, mode, rollout_mappings):
     """Learned-path candidate scoring: looped single-mapping ``predict``
     calls vs one fused ``predict_batch`` over the same 16-candidate
@@ -156,7 +156,10 @@ def test_bench_estimator_predict(benchmark, mode, rollout_mappings):
 
     The scalar row pays 16 Q assemblies and 16 batch-1 forward passes;
     the batch row pays one fused assembly
-    (``build_q_tensor_batch``) and a single batch-16 forward.
+    (``build_q_tensor_batch``) and a single batch-16 forward.  The
+    roster2 row is one ``predict_batch`` of 2 candidates, the roster
+    size MCTS replans actually score on a serving node (the
+    ``serve_estimator`` end-to-end workload averages 2 per call).
     Acceptance: the batch row is measurably faster on batch >= 8 — the
     two rows land side by side in ``BENCH_history.jsonl`` for that
     comparison, and ``record_bench.py``'s guard flags either row
@@ -169,16 +172,17 @@ def test_bench_estimator_predict(benchmark, mode, rollout_mappings):
     predictor = EstimatorPredictor(model, embedder)
     predictor.predict_batch(WORKLOAD, rollout_mappings[:1])  # warm embeddings
 
+    roster = rollout_mappings[:2] if mode == "roster2" else rollout_mappings
     if mode == "scalar":
         def step():
             return np.concatenate(
-                [predictor.predict(WORKLOAD, [m]) for m in rollout_mappings])
+                [predictor.predict(WORKLOAD, [m]) for m in roster])
     else:
         def step():
-            return predictor.predict_batch(WORKLOAD, rollout_mappings)
+            return predictor.predict_batch(WORKLOAD, roster)
 
     rates = benchmark(step)
-    assert rates.shape == (len(rollout_mappings), len(WORKLOAD))
+    assert rates.shape == (len(roster), len(WORKLOAD))
     assert (rates >= 0).all()
 
 

@@ -137,6 +137,12 @@ class Module:
         return arrays
 
     def load_arrays(self, arrays: list[np.ndarray]) -> None:
+        """Load :meth:`state_arrays` output, cast to this module's dtypes.
+
+        The module's precision wins over the file's: a float32 model
+        loading float64 batch-norm statistics keeps float32 buffers, so
+        one stray float64 array cannot promote every later forward pass.
+        """
         params = self.parameters()
         buffers = self._buffers()
         expected = len(params) + len(buffers)
@@ -145,14 +151,14 @@ class Module:
         for p, a in zip(params, arrays):
             if p.data.shape != a.shape:
                 raise ValueError(f"shape mismatch: {p.data.shape} vs {a.shape}")
-            p.data = a.copy()
+            p.data = a.astype(p.data.dtype)
         for (m, key), a in zip(buffers, arrays[len(params):]):
             if m.__dict__[key].shape != a.shape:
                 raise ValueError(
                     f"buffer {key} shape mismatch: "
                     f"{m.__dict__[key].shape} vs {a.shape}"
                 )
-            m.__dict__[key] = a.copy()
+            m.__dict__[key] = a.astype(m.__dict__[key].dtype)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -180,7 +186,13 @@ def _kaiming(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 
 
 class Linear(Module):
-    """Affine map y = x W^T + b."""
+    """Affine map y = x W^T + b.
+
+    A 2-D input ``(n, in)`` is multiplied as ``n`` one-row products
+    ``(n, 1, in) @ (in, out)``, like a 3-D input, so row ``i`` of the
+    output is bit-identical whatever ``n`` is: a single ``(n, in)`` GEMM
+    lets BLAS block the rows differently per ``n``.
+    """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  bias: bool = True):
@@ -189,6 +201,9 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.ndim == 2:
+            n = x.shape[0]
+            return self.forward(x.reshape(n, 1, -1)).reshape(n, -1)
         out = x @ self.weight.transpose()
         if self.bias is not None:
             out = out + self.bias

@@ -1,12 +1,18 @@
 """Composite and structured operations for the autodiff engine.
 
-Convolutions are implemented with a kernel-position loop: for every kernel
-offset the contribution is a single strided slice times a weight plane, which
-keeps both the forward and backward passes fully vectorised in numpy without
-materialising im2col buffers.
+Dense convolutions (1-D and 2-D) share one im2col idiom: a strided view
+gathers every receptive field into a (N, C*k, out) column buffer, the
+forward pass is one GEMM per sample against the flattened weights, and the
+backward pass is the transposed GEMM plus a scatter-add of the columns
+(col2im).  Keeping the batch axis outside the GEMM makes every sample's
+result independent of the batch it was computed in.  Depthwise convolution
+and pooling have no channel mixing, so they stay a kernel-position loop of
+strided slices.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -69,33 +75,34 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
 # ----------------------------------------------------------------------
 # Padding
 # ----------------------------------------------------------------------
-def pad2d(x: Tensor, pad: tuple[int, int]) -> Tensor:
-    """Zero-pad the trailing two (spatial) axes of an NCHW tensor."""
-    ph, pw = pad
-    if ph == 0 and pw == 0:
-        return x
-    out_data = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+def _pad_trailing(x: Tensor, pads: tuple[int, ...]) -> Tensor:
+    """Zero-pad the trailing ``len(pads)`` axes by ``pads[i]`` per side."""
+    lead = x.ndim - len(pads)
+    inner = (slice(None),) * lead + tuple(
+        slice(p, p + n) for p, n in zip(pads, x.shape[lead:]))
+    out_data = np.zeros(x.shape[:lead] + tuple(
+        n + 2 * p for p, n in zip(pads, x.shape[lead:])), dtype=x.dtype)
+    out_data[inner] = x.data
 
     def backward(grad):
         if x.requires_grad:
-            h, w = x.shape[-2], x.shape[-1]
-            x._accumulate(grad[..., ph : ph + h, pw : pw + w])
+            x._accumulate(grad[inner])
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def pad2d(x: Tensor, pad: tuple[int, int]) -> Tensor:
+    """Zero-pad the trailing two (spatial) axes of an NCHW tensor."""
+    if pad[0] == 0 and pad[1] == 0:
+        return x
+    return _pad_trailing(x, pad)
 
 
 def pad1d(x: Tensor, pad: int) -> Tensor:
     """Zero-pad the trailing axis of an NCL tensor."""
     if pad == 0:
         return x
-    out_data = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-
-    def backward(grad):
-        if x.requires_grad:
-            length = x.shape[-1]
-            x._accumulate(grad[..., pad : pad + length])
-
-    return Tensor._make(out_data, (x,), backward)
+    return _pad_trailing(x, (pad,))
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +110,9 @@ def pad1d(x: Tensor, pad: int) -> Tensor:
 # ----------------------------------------------------------------------
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(grad):
         if x.requires_grad:
@@ -130,10 +137,79 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Convolutions (kernel-position loop)
+# Convolutions (im2col GEMM)
 # ----------------------------------------------------------------------
 def _out_size(n: int, k: int, stride: int) -> int:
     return (n - k) // stride + 1
+
+
+def _im2col(xd: np.ndarray, kernel: tuple[int, ...], stride: int
+            ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gather the receptive fields of ``xd`` (N, C, *spatial).
+
+    Returns ``cols`` of shape (N, C*prod(kernel), prod(out)), rows ordered
+    (c, *kernel offsets) like ``weight.reshape(F, -1)``, and the output
+    spatial shape.  One strided-view copy; no kernel-position loop.
+    """
+    n, c, *spatial = xd.shape
+    out = tuple(_out_size(s, k, stride) for s, k in zip(spatial, kernel))
+    steps = xd.strides[2:]
+    view = np.lib.stride_tricks.as_strided(
+        xd, (n, c, *kernel, *out),
+        (*xd.strides[:2], *steps, *(st * stride for st in steps)),
+        writeable=False)
+    return view.reshape(n, c * math.prod(kernel), math.prod(out)), out
+
+
+def _col2im(gcols: np.ndarray, shape: tuple[int, ...], kernel: tuple[int, ...],
+            out: tuple[int, ...], stride: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: scatter-add columns back to ``shape``."""
+    n, c = shape[:2]
+    g = gcols.reshape(n, c, *kernel, *out)
+    gx = np.zeros(shape, dtype=gcols.dtype)
+    for offset in np.ndindex(*kernel):
+        window = tuple(slice(k, k + stride * o, stride)
+                       for k, o in zip(offset, out))
+        gx[(slice(None), slice(None), *window)] += g[(slice(None), slice(None),
+                                                      *offset)]
+    return gx
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int) -> Tensor:
+    """Unpadded N-d convolution: ``x`` is (N, C, *spatial), ``weight``
+    (F, C, *kernel).
+
+    The forward is one GEMM per sample, ``(F, C*k) @ (N, C*k, out)``,
+    which lands directly in (N, F, *out) layout.  The batch axis stays a
+    loop outside BLAS, so each sample's output is bit-identical whatever
+    the batch size; a single ``(N*out, C*k)`` GEMM would let BLAS block
+    rows differently per ``N``.
+    """
+    n, c = x.shape[:2]
+    f, c_w, *kernel = weight.shape
+    if c_w != c:
+        raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
+    kernel = tuple(kernel)
+    xd = x.data
+    cols, out = _im2col(xd, kernel, stride)
+    wmat = weight.data.reshape(f, -1)
+    out_data = (wmat @ cols).reshape(n, f, *out)
+    if bias is not None:
+        out_data += bias.data.reshape(1, f, *(1,) * len(out))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad):
+        g = grad.reshape(n, f, -1)
+        if x.requires_grad:
+            x._accumulate(_col2im(wmat.T @ g, xd.shape, kernel, out, stride))
+        if weight.requires_grad:
+            gw = np.tensordot(g, cols, axes=([0, 2], [0, 2]))
+            weight._accumulate(gw.reshape(weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2)))
+
+    return Tensor._make(out_data, parents, backward)
 
 
 def conv2d(
@@ -149,46 +225,7 @@ def conv2d(
     """
     if padding:
         x = pad2d(x, (padding, padding))
-    n, c, h, w = x.shape
-    f, c_w, kh, kw = weight.shape
-    if c_w != c:
-        raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
-    oh, ow = _out_size(h, kh, stride), _out_size(w, kw, stride)
-    xd, wd = x.data, weight.data
-
-    out_data = np.zeros((n, f, oh, ow), dtype=xd.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            patch = xd[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride]
-            # (n, c, oh, ow) x (f, c) -> (n, f, oh, ow)
-            out_data += np.einsum("nchw,fc->nfhw", patch, wd[:, :, ki, kj], optimize=True)
-    if bias is not None:
-        out_data += bias.data.reshape(1, f, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad):
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for ki in range(kh):
-                for kj in range(kw):
-                    gx[:, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride] += (
-                        np.einsum("nfhw,fc->nchw", grad, wd[:, :, ki, kj], optimize=True)
-                    )
-            x._accumulate(gx)
-        if weight.requires_grad:
-            gw = np.zeros_like(wd)
-            for ki in range(kh):
-                for kj in range(kw):
-                    patch = xd[
-                        :, :, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride
-                    ]
-                    gw[:, :, ki, kj] = np.einsum("nchw,nfhw->fc", patch, grad, optimize=True)
-            weight._accumulate(gw)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-
-    return Tensor._make(out_data, parents, backward)
+    return _conv(x, weight, bias, stride)
 
 
 def depthwise_conv2d(
@@ -257,40 +294,7 @@ def conv1d(
     """1-D convolution over an NCL tensor; ``weight`` is (F, C, K)."""
     if padding:
         x = pad1d(x, padding)
-    n, c, length = x.shape
-    f, c_w, k = weight.shape
-    if c_w != c:
-        raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
-    ol = _out_size(length, k, stride)
-    xd, wd = x.data, weight.data
-
-    out_data = np.zeros((n, f, ol), dtype=xd.dtype)
-    for ki in range(k):
-        patch = xd[:, :, ki : ki + stride * ol : stride]
-        out_data += np.einsum("ncl,fc->nfl", patch, wd[:, :, ki], optimize=True)
-    if bias is not None:
-        out_data += bias.data.reshape(1, f, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad):
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for ki in range(k):
-                gx[:, :, ki : ki + stride * ol : stride] += np.einsum(
-                    "nfl,fc->ncl", grad, wd[:, :, ki], optimize=True
-                )
-            x._accumulate(gx)
-        if weight.requires_grad:
-            gw = np.zeros_like(wd)
-            for ki in range(k):
-                patch = xd[:, :, ki : ki + stride * ol : stride]
-                gw[:, :, ki] = np.einsum("ncl,nfl->fc", patch, grad, optimize=True)
-            weight._accumulate(gw)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2)))
-
-    return Tensor._make(out_data, parents, backward)
+    return _conv(x, weight, bias, stride)
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
+    # NumPy operands on the left (``np.float64(2) * t``) defer to the
+    # reflected Tensor operators instead of building an object array of
+    # per-element tensors.
+    __array_ufunc__ = None
+
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
         if arr.dtype.kind not in "fc":
@@ -143,6 +148,20 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
+    def _operand(self, other) -> "Tensor":
+        """Coerce the other operand of a binary op.
+
+        Scalars (Python or NumPy) are weak: they take this tensor's
+        dtype, so a float32 network stays float32 through ``x + eps`` or
+        ``x * scale``.  (NumPy 2 would otherwise promote to float64 on a
+        0-d float64 array.)  Arrays and tensors keep their own dtype.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
+
     def detach(self) -> "Tensor":
         """Return a tensor sharing data but cut off from the graph."""
         return Tensor(self.data, requires_grad=False)
@@ -196,7 +215,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad):
@@ -217,13 +236,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad):
@@ -237,7 +256,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad):
@@ -251,11 +270,13 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other):
-        return as_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
+        if isinstance(exponent, (np.integer, np.floating)):
+            exponent = exponent.item()  # weak, like the other operators
         out_data = self.data**exponent
 
         def backward(grad):
@@ -360,11 +381,10 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
+                self._accumulate(grad.transpose(np.argsort(axes)))
 
         return Tensor._make(out_data, (self,), backward)
 

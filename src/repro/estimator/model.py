@@ -128,9 +128,15 @@ class ThroughputEstimator(nn.Module):
         return ops.concat(outs, axis=1)                    # (B, max_dnns)
 
     def predict_log_rates(self, q: np.ndarray) -> np.ndarray:
-        """Inference without graph recording; returns (B, max_dnns)."""
+        """Inference without graph recording; returns (B, max_dnns).
+
+        A float32 ``q`` runs in float32 throughout.  The result is
+        batch-invariant: row ``i`` is bit-identical whatever other rows
+        ``q`` holds.
+        """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 out = self.forward(Tensor(q))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.autodiff import Tensor, check_gradients, ops
+from repro.autodiff import Tensor, check_gradients, nn, ops
 
 FLOATS = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False,
                    width=64)
@@ -110,3 +110,55 @@ def test_straight_through_gradient_identity(data):
     out.sum().backward()
     np.testing.assert_allclose(c.grad, np.ones(data.shape))
     np.testing.assert_allclose(out.data, np.round(data))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 6),   # batch
+    st.integers(1, 5),   # channels
+    st.integers(3, 9),   # height
+    st.integers(3, 9),   # width
+    st.integers(1, 6),   # filters
+    st.sampled_from([1, 2]),   # stride
+    st.sampled_from([0, 1]),   # padding
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**31 - 1),
+)
+def test_conv2d_rows_batch_invariant(n, c, h, w, f, stride, padding, dtype,
+                                     seed):
+    """Each sample of a batched conv2d is bit-identical to convolving that
+    sample alone: the batch axis never enters a GEMM dimension."""
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(n, c, h, w)).astype(dtype)
+    w_ = Tensor(g.normal(size=(f, c, 3, 3)).astype(dtype))
+    b = Tensor(g.normal(size=f).astype(dtype))
+    full = ops.conv2d(Tensor(x), w_, b, stride=stride, padding=padding).data
+    assert full.dtype == dtype
+    for i in range(n):
+        one = ops.conv2d(Tensor(x[i:i + 1]), w_, b, stride=stride,
+                         padding=padding).data
+        np.testing.assert_array_equal(one[0], full[i])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 9),   # batch
+    st.integers(1, 5),   # tokens (3-D inputs only)
+    st.integers(1, 40),  # in features
+    st.integers(1, 40),  # out features
+    st.booleans(),       # 3-D input
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**31 - 1),
+)
+def test_linear_rows_batch_invariant(n, t, fin, fout, three_d, dtype, seed):
+    """``Linear`` on 2-D and 3-D inputs: each row of a batch equals the
+    layer applied to that row alone, bit for bit."""
+    g = np.random.default_rng(seed)
+    layer = nn.Linear(fin, fout, g).astype(dtype)
+    shape = (n, t, fin) if three_d else (n, fin)
+    x = g.normal(size=shape).astype(dtype)
+    full = layer(Tensor(x)).data
+    assert full.dtype == dtype
+    for i in range(n):
+        np.testing.assert_array_equal(layer(Tensor(x[i:i + 1])).data[0],
+                                      full[i])

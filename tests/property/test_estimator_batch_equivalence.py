@@ -6,8 +6,8 @@ The learned-path analogue of ``test_batch_equivalence.py``: the fast path
 :meth:`EstimatorPredictor.predict_batch`) must *bit*-match per-mapping
 Q-tensor assembly — same scatter, same bucket means, same float32 cast —
 so a batched candidate roster scores exactly as the stacked scalar
-assemblies would.  (The forward pass itself is shared, so Q-bit equality
-is what pins the whole path.)
+assemblies would.  The forward pass is batch-invariant as well, so a
+mapping's score is bit-identical whatever roster it is scored in.
 """
 
 import numpy as np
@@ -98,29 +98,25 @@ def test_predict_batch_matches_scalar_assembly(names, seed, batch_size):
 @settings(max_examples=8, deadline=None)
 @given(workload_strategy(), st.integers(0, 2**31 - 1))
 def test_predict_batch_close_to_looped_predict(names, seed):
-    """Scoring the roster in one batch agrees with per-mapping ``predict``
-    calls to solver precision.  (Exact bit equality across *different
-    forward batch shapes* is not guaranteed — BLAS blocking may vary with
-    the batch dimension — which is why the bit contract above fixes the
-    assembly, not the batch shape.)"""
+    """Scoring the roster in one batch equals per-mapping ``predict``
+    calls bit for bit: the forward pass keeps the batch axis outside
+    every GEMM, so no BLAS blocking depends on the roster size."""
     workload = [get_model(n) for n in names]
     mappings = _mapping_batch(workload, 3, seed, 6)
     batched = _PREDICTOR.predict_batch(workload, mappings)
     looped = np.concatenate(
         [_PREDICTOR.predict(workload, [m]) for m in mappings])
-    np.testing.assert_allclose(batched, looped, rtol=1e-5, atol=1e-6)
+    np.testing.assert_array_equal(batched, looped)
 
 
 @settings(max_examples=8, deadline=None)
 @given(workload_strategy(), st.integers(0, 2**31 - 1))
 def test_batch_shape_divergence_pinned(names, seed):
-    """Carried-item contract: the *same* mapping scored inside rosters of
-    different sizes may differ — BLAS kernels block the batch dimension
-    differently — but only at rounding order.  The divergence is pinned
-    at rel <= 1e-12 (observed ~1e-15 on this estimator; a batch-invariant
-    matmul kernel would make it exactly zero, see ROADMAP).  This is the
-    explicit tolerance the loose ``rtol=1e-5`` check above folklore'd:
-    scores are batch-shape-stable to 12 digits, not bit-identical.
+    """The *same* mapping scored inside rosters of different sizes gets
+    bit-identical scores.  Convolutions run one im2col GEMM per sample
+    and 2-D ``Linear`` inputs one matmul per row, so a sample's result
+    never depends on how many others share its forward pass.  (A single
+    ``(batch * rows, k)`` GEMM diverged at ~6e-7 in float32.)
     """
     workload = [get_model(n) for n in names]
     mappings = _mapping_batch(workload, 3, seed, 6)
@@ -130,7 +126,19 @@ def test_batch_shape_divergence_pinned(names, seed):
             _PREDICTOR.predict_batch(workload, mappings[i:i + step])
             for i in range(0, len(mappings), step)
         ])
-        np.testing.assert_allclose(split, full, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(split, full)
+
+
+@settings(max_examples=6, deadline=None)
+@given(workload_strategy(), st.integers(0, 2**31 - 1))
+def test_scores_bit_identical_across_roster_sizes_1_to_8(names, seed):
+    """Every roster size from 1 to 8 scores a mapping identically."""
+    workload = [get_model(n) for n in names]
+    mappings = _mapping_batch(workload, 3, seed, 8)
+    full = _PREDICTOR.predict_batch(workload, mappings)
+    for size in range(1, 8):
+        np.testing.assert_array_equal(
+            _PREDICTOR.predict_batch(workload, mappings[:size]), full[:size])
 
 
 def test_empty_and_oversized_batches():

@@ -257,3 +257,27 @@ class TestOptim:
         opt = optim.Adam([p], lr=0.1)
         opt.step()  # no backward called; should be a no-op
         np.testing.assert_allclose(p.data, np.ones(2))
+
+
+class TestPrecision:
+    def test_load_arrays_casts_to_module_dtype(self):
+        g = rng()
+        layer = nn.BatchNorm2d(3).astype(np.float32)
+        arrays = [a.astype(np.float64) + 0.1 for a in layer.state_arrays()]
+        layer.load_arrays(arrays)
+        assert layer.gamma.dtype == np.float32
+        assert layer.running_mean.dtype == np.float32
+        assert layer.running_var.dtype == np.float32
+        np.testing.assert_array_equal(layer.running_var,
+                                      arrays[-1].astype(np.float32))
+        layer.eval()
+        x = Tensor(g.normal(size=(2, 3, 4, 4)).astype(np.float32))
+        assert layer(x).dtype == np.float32
+
+    def test_load_arrays_does_not_alias_inputs(self):
+        a = nn.Linear(3, 2, rng())
+        arrays = a.state_arrays()
+        b = nn.Linear(3, 2, rng())
+        b.load_arrays(arrays)
+        arrays[0][...] = 0.0
+        assert b.weight.data.any()

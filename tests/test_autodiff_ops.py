@@ -79,6 +79,32 @@ class TestConv2d:
             lambda: ops.conv2d(x, w, b, stride=2, padding=1).sum(), [x, w, b], rtol=1e-3
         )
 
+    def test_gradcheck_non_uniform_upstream(self):
+        """A squared loss sends a different gradient to every output, so
+        col2im must route each one back to its own receptive field."""
+        g = rng()
+        x = Tensor(g.normal(size=(2, 2, 6, 5)), requires_grad=True)
+        w = Tensor(g.normal(size=(3, 2, 3, 2)), requires_grad=True)
+        check_gradients(
+            lambda: (ops.conv2d(x, w, stride=2, padding=1) ** 2).sum(), [x, w],
+            rtol=1e-3,
+        )
+
+    def test_non_square_kernel_strided_matches_naive(self):
+        g = rng()
+        x = Tensor(g.normal(size=(2, 3, 7, 6)))
+        w = Tensor(g.normal(size=(4, 3, 2, 3)))
+        out = ops.conv2d(x, w, stride=2)
+        ref = np.zeros((2, 4, 3, 2))
+        for n in range(2):
+            for f in range(4):
+                for i in range(3):
+                    for j in range(2):
+                        ref[n, f, i, j] = (x.data[n, :, 2 * i : 2 * i + 2,
+                                                  2 * j : 2 * j + 3]
+                                           * w.data[f]).sum()
+        np.testing.assert_allclose(out.data, ref, rtol=1e-10)
+
     def test_channel_mismatch_raises(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
         w = Tensor(np.zeros((3, 5, 3, 3)))
@@ -130,6 +156,13 @@ class TestConv1d:
         w = Tensor(g.normal(size=(4, 2, 3)), requires_grad=True)
         b = Tensor(g.normal(size=(4,)), requires_grad=True)
         check_gradients(lambda: ops.conv1d(x, w, b, padding=1).sum(), [x, w, b], rtol=1e-3)
+
+    def test_strided_gradcheck(self):
+        g = rng()
+        x = Tensor(g.normal(size=(2, 3, 9)), requires_grad=True)
+        w = Tensor(g.normal(size=(2, 3, 4)), requires_grad=True)
+        check_gradients(lambda: (ops.conv1d(x, w, stride=2, padding=1) ** 2).sum(),
+                        [x, w], rtol=1e-3)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError):

@@ -204,3 +204,39 @@ class TestElementwise:
         z = 1.0 / x
         assert y.data[0] == pytest.approx(-1.0)
         assert z.data[0] == pytest.approx(0.5)
+
+
+class TestScalarDtype:
+    """Scalars are weak operands: they take the tensor's dtype.
+
+    NumPy 2 promotes a float32 array combined with a 0-d float64 array to
+    float64, which once silently ran the float32 estimator in float64.
+    """
+
+    OPS = {
+        "add": lambda t, s: t + s,
+        "radd": lambda t, s: s + t,
+        "sub": lambda t, s: t - s,
+        "rsub": lambda t, s: s - t,
+        "mul": lambda t, s: t * s,
+        "rmul": lambda t, s: s * t,
+        "truediv": lambda t, s: t / s,
+        "rtruediv": lambda t, s: s / t,
+        "pow": lambda t, s: t ** s,
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scalar", [2, 0.5, np.float64(0.5), np.int64(2)],
+                             ids=["int", "float", "np_float64", "np_int64"])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_scalar_keeps_tensor_dtype(self, op, scalar, dtype):
+        x = Tensor(np.array([1.5, 2.5], dtype=dtype), requires_grad=True)
+        out = self.OPS[op](x, scalar)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert x.grad.dtype == dtype
+
+    def test_array_operand_still_promotes(self):
+        """Only scalars are weak: an explicit float64 array promotes."""
+        x = Tensor(np.ones(2, np.float32))
+        assert (x + np.ones(2)).dtype == np.float64

@@ -38,6 +38,34 @@ def embedder():
     return EmbeddingCache(LayerVQVAE(np.random.default_rng(0)))
 
 
+def forward_dtypes(model, batch=2):
+    """The dtypes of every intermediate an inference forward pass makes.
+
+    Parameters alone cannot show a promotion: a float64 scalar or buffer
+    met mid-network turns every later activation float64.
+    """
+    from repro.autodiff import Tensor
+
+    cfg = model.config
+    q = np.random.default_rng(5).normal(
+        size=(batch, cfg.max_dnns, cfg.max_layers, cfg.width)
+    ).astype(np.float32)
+    seen = set()
+    make = Tensor._make
+
+    def recording(data, parents, backward):
+        seen.add(np.asarray(data).dtype)
+        return make(data, parents, backward)
+
+    Tensor._make = staticmethod(recording)
+    try:
+        out = model.predict_log_rates(q)
+    finally:
+        Tensor._make = staticmethod(make)
+    seen.add(out.dtype)
+    return seen
+
+
 class TestModel:
     def test_forward_shape(self):
         model = small_model()
@@ -59,6 +87,18 @@ class TestModel:
     def test_uses_float32(self):
         model = small_model()
         assert all(p.data.dtype == np.float32 for p in model.parameters())
+        assert forward_dtypes(model) == {np.dtype(np.float32)}
+
+    def test_loaded_artifact_stays_float32(self, tmp_path):
+        from repro.estimator import (load_estimator_artifact,
+                                     save_estimator_artifact)
+
+        path = tmp_path / "estimator.pkl"
+        save_estimator_artifact(path, small_model(),
+                                LayerVQVAE(np.random.default_rng(0)),
+                                PLATFORM)
+        loaded = load_estimator_artifact(path, PLATFORM).estimator
+        assert forward_dtypes(loaded) == {np.dtype(np.float32)}
 
     def test_parameter_count_reasonable(self):
         # The full-size default is a width-scaled version of the paper's
@@ -168,6 +208,18 @@ class TestTraining:
         assert report.train_loss[-1] < report.train_loss[0]
         assert len(report.val_loss) == 4
         assert np.isfinite(report.final_val_loss)
+
+    def test_trained_model_stays_float32(self):
+        """Training updates batch-norm running stats from activations; a
+        float64 activation would leave float64 buffers behind."""
+        ds = small_dataset(n=12, seed=3)
+        model = small_model()
+        train_estimator(model, ds, embedder(),
+                        EstimatorTrainConfig(epochs=1, batch_size=6,
+                                             val_fraction=0.2))
+        buffers = [m.__dict__[key] for m, key in model._buffers()]
+        assert buffers and all(b.dtype == np.float32 for b in buffers)
+        assert forward_dtypes(model) == {np.dtype(np.float32)}
 
     def test_channel_shuffle_preserves_pairing(self):
         from repro.estimator.train import _shuffle_channels

@@ -88,6 +88,37 @@ class TestArtifactRoundTrip:
         assert not loaded.estimator.training
         assert not loaded.vqvae.training
 
+    def test_float64_running_stats_load_as_float32(self, trained,
+                                                   artifact_path):
+        """Artifacts trained before the estimator ran in float32 stored
+        float64 batch-norm running stats.  They load with float32 buffers
+        and score exactly like a float32-built model holding the same
+        (rounded) statistics; the file format is unchanged."""
+        estimator, _ = trained
+        payload = pickle.loads(artifact_path.read_bytes())
+        arrays = payload["estimator_arrays"]
+        n_params = len(estimator.parameters())
+        rng = np.random.default_rng(7)
+        old_stats = [np.abs(rng.normal(1.0, 0.3, size=a.shape))
+                     for a in arrays[n_params:]]
+        assert all(a.dtype == np.float64 for a in old_stats)
+        payload["estimator_arrays"] = arrays[:n_params] + old_stats
+        artifact_path.write_bytes(pickle.dumps(payload))
+
+        loaded = load_estimator_artifact(artifact_path,
+                                         orange_pi_5()).estimator
+        buffers = [m.__dict__[key] for m, key in loaded._buffers()]
+        assert all(b.dtype == np.float32 for b in buffers)
+
+        reference = ThroughputEstimator(np.random.default_rng(99), SMALL_CFG)
+        reference.load_arrays(
+            arrays[:n_params] + [a.astype(np.float32) for a in old_stats])
+        q = np.random.default_rng(2).normal(
+            size=(3, 4, 32, 48)).astype(np.float32)
+        np.testing.assert_array_equal(loaded.predict_rates(q),
+                                      reference.predict_rates(q))
+        assert payload["version"] == ARTIFACT_FORMAT_VERSION
+
 
 class TestArtifactRefusals:
     def test_platform_mismatch_raises_distinct_error(self, artifact_path):
